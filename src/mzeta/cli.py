@@ -23,6 +23,7 @@ import mpmath
 from mpmath import mp
 
 from . import __version__, harness, mzv, stieltjes, stuffle
+from .config import max_n
 from .errors import PolarPointError, PoleProximityError, PrecisionUnreachableError
 
 EXIT_OK = 0
@@ -94,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mzeta {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=12, help="target digits (<= 50)")
-    common.add_argument("--depth-cap", type=int, default=4, help="maximum depth (<= 8)")
+    common.add_argument(
+        "--depth-cap", type=int, default=4, help=f"maximum depth (<= {mzv.DEPTH_CAP})"
+    )
     common.add_argument("--seed", type=int, default=42, help="seed for sampled points")
     common.add_argument("--output", choices=("json", "text"), default="text")
 
@@ -129,8 +132,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate_config(ns: argparse.Namespace) -> None:
     if not 1 <= ns.digits <= 50:
         raise CliParseError("--digits must be in 1..50")
-    if not 0 <= ns.depth_cap <= 8:
-        raise CliParseError("--depth-cap must be in 0..8")
+    if not 0 <= ns.depth_cap <= mzv.DEPTH_CAP:
+        raise CliParseError(f"--depth-cap must be in 0..{mzv.DEPTH_CAP}")
+    try:
+        max_n()
+    except ValueError as exc:
+        raise CliParseError(str(exc)) from exc
 
 
 def _cmd_stieltjes(ns: argparse.Namespace) -> int:

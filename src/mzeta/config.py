@@ -29,7 +29,10 @@ def max_n() -> int:
     raw = os.environ.get("MZETA_MAX_N")
     if raw is None:
         return DEFAULT_MAX_N
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"MZETA_MAX_N must be an integer, got {raw!r}") from None
     if value < 2:
         raise ValueError("MZETA_MAX_N must be >= 2")
     return value

@@ -2,10 +2,10 @@
 
 Everything here is computed over ``fractions.Fraction`` (arbitrary precision,
 always reduced), so downstream symbolic work never sees rounding.  The module
-holds three memoized tables:
+holds the memoized tables and the Pochhammer polynomials:
 
 - Bernoulli numbers ``B_n`` (convention ``B_1 = -1/2``) and their "star"
-  companions ``B*_n = (-1)^n B_n``,
+  companions ``B*_n = (-1)^n B_n``, and the ratios ``B_n/n!`` and ``B*_n/n!``,
 - signed Stirling numbers of the first kind ``s(n, k)``,
 - rising-factorial (Pochhammer) polynomials ``(s)_k``, extended to the
   reciprocal marker ``(s)_{-1} = 1/(s-1)``.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Union
 
 Number = Union[int, float, complex, Fraction]
@@ -27,6 +27,7 @@ Number = Union[int, float, complex, Fraction]
 _lock = threading.Lock()
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _stirling_cache: list[list[int]] = [[1]]
+_bernoulli_ratio_cache: dict[bool, list[Fraction]] = {False: [], True: []}
 
 
 def bernoulli(n: int, star: bool = False) -> Fraction:
@@ -48,6 +49,17 @@ def bernoulli(n: int, star: bool = False) -> Fraction:
     if star and n % 2 == 1:
         return -value
     return value
+
+
+def bernoulli_ratios(n: int, star: bool = False) -> list[Fraction]:
+    """[B_0/0!, .., B_n/n!] (B*_k/k! when ``star``), from one table per variant."""
+    table = _bernoulli_ratio_cache[star]
+    for k in range(len(table), n + 1):
+        ratio = bernoulli(k, star) / factorial(k)
+        with _lock:
+            if len(table) == k:
+                table.append(ratio)
+    return table[: n + 1]
 
 
 def stirling_first(n: int, k: int) -> int:

@@ -15,7 +15,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, log10
+from math import ceil, log10, prod
 from typing import Sequence
 
 import mpmath
@@ -23,7 +23,7 @@ from mpmath import mp
 
 from . import mzv, stieltjes
 from .errors import TailNotConvergingError
-from .exact import bernoulli
+from .exact import bernoulli_ratios
 from .mzv import to_mpc
 from .stuffle import deduce_sequence, enumerate_stufflings, f_rational
 from .stieltjes import index_set
@@ -152,22 +152,15 @@ def check_comb_form(
     r = len(s)
     params = {"s": s, "N": n_level, "variant": variant}
     with mp.workdps(mzv.working_dps(digits + 6)):
-        if variant == "strict_1":
-            lhs = mzv.zeta_truncated(s, n_level, "strict")
+        if variant in ("strict_1", "star_2"):
+            strict = variant == "strict_1"
+            sums = "strict" if strict else "star"
+            lhs = mzv.zeta_truncated(s, n_level if strict else n_level + 1, sums)
             rhs = mp.mpc(0)
             for i in range(r + 1):
                 rev = tuple(reversed(s[:i]))
-                tail = _tail_value(rev, n_level, digits, "star")
-                suffix = mzv.zeta_value(s[i:], digits + 4, "strict")
-                rhs += (-1) ** i * tail * suffix
-        elif variant == "star_2":
-            lhs = mzv.zeta_truncated(s, n_level + 1, "star")
-            rhs = mp.mpc(0)
-            for i in range(r + 1):
-                rev = tuple(reversed(s[:i]))
-                tail = _tail_value(rev, n_level, digits, "strict")
-                suffix = mzv.zeta_value(s[i:], digits + 4, "star")
-                rhs += (-1) ** i * tail * suffix
+                tail = _tail_value(rev, n_level, digits, "star" if strict else "strict")
+                rhs += (-1) ** i * tail * mzv.zeta_value(s[i:], digits + 4, sums)
         elif variant == "cor":
             lhs = mp.mpc(0)
             for i in range(r + 1):
@@ -261,17 +254,11 @@ def _ray_limit_correction(prefix: tuple[int, ...], direction: Sequence[Fraction]
     exist (not the case on the rays exercised here).
     """
     i = len(prefix)
+    ratios = bernoulli_ratios(max(0, i - sum(prefix)), star=True)
     total = Fraction(0)
     for ks in mzv.correction_tuples(prefix):
-        coeff = Fraction(1)
-        skip = False
-        for k in ks:
-            b = bernoulli(k + 1, star=True)
-            if b == 0:
-                skip = True
-                break
-            coeff *= b / factorial(k + 1)
-        if skip:
+        coeff = prod((ratios[k + 1] for k in ks), start=Fraction(1))
+        if coeff == 0:
             continue
         eps_pow = 0
         int_part = 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
+from math import prod
 from typing import Iterator, Sequence
 
 import mpmath
@@ -39,7 +39,7 @@ from .errors import (
     PrecisionUnreachableError,
     TailNotConvergingError,
 )
-from .exact import bernoulli
+from .exact import bernoulli_ratios
 
 POLE_TOL = 1e-12
 DEPTH_CAP = 6
@@ -138,34 +138,104 @@ def zeta_truncated(s: Sequence, n_top: int, variant: str = "strict") -> mpmath.m
 # -- tails -------------------------------------------------------------------
 
 
-def _k_tuples(depth: int, total_cap: int) -> Iterator[tuple[int, ...]]:
-    if depth == 0:
-        yield ()
-        return
-    for head in range(total_cap + 1):
-        for tail in _k_tuples(depth - 1, total_cap - head):
-            yield (head,) + tail
+class _TailShells:
+    """Shells of the tail expansion at (s, N), built one |k| at a time.
 
+    Shell m sums the expansion terms over the k-tuples with |k| = m, and
+    ``truncate(K)`` appends shells up to K+2 only when they are first
+    needed, so growing K never rebuilds a shell.  Each prefix (k_1..k_j) of
+    a tuple is a node of a prefix tree holding its chain product, its
+    coefficient prod B_k/k! and the running product of its next Pochhammer
+    factor, which each new shell advances by one step.  The terms are added
+    in the order of the flat sum over tuples, factor by factor, so the shells
+    come out bit-for-bit as if every tuple were multiplied out on its own.
+    """
 
-def _chain_product(ss: list, ks: Sequence[int]) -> mpmath.mpc:
-    """(s1)_{k1-1} (s1+s2+k1-1)_{k2-1} ... with reciprocal-marker pole checks."""
-    out = mp.mpc(1)
-    pref_s = mp.mpc(0)
-    pref_k = 0
-    for j, k in enumerate(ks):
-        pref_s += ss[j]
-        x = pref_s + pref_k - j
-        if k == 0:
-            if abs(x - 1) < POLE_TOL:
-                raise PoleProximityError(
-                    f"reciprocal factor 1/(s1+..+s{j+1}+{pref_k}-{j+1}) is singular"
+    def __init__(self, s: Sequence, n_from: int, variant: str) -> None:
+        _check_variant(variant)
+        if n_from < 2:
+            raise ValueError("tail expansions require N >= 2")
+        self.n_from, self.star = n_from, variant == "star"
+        self.ss = [to_mpc(x) for x in s]
+        self.total_s = mp.fsum(x.real for x in self.ss) + 1j * mp.fsum(x.imag for x in self.ss)
+        self.shells, self.shells_abs = [], []
+        self.root = _TailNode(mp.mpc(1), Fraction(1), mp.mpc(0), 0, 0, self.ss) if s else None
+
+    def truncate(self, k_order: int) -> tuple[mpmath.mpc, mpmath.mpf]:
+        """Shells |k| <= k_order summed, and the first-omitted-shell estimate."""
+        if self.root is None:
+            return mp.mpc(1), mp.zero
+        while len(self.shells) < k_order + 3:
+            self._add_shell()
+        shells_abs = self.shells_abs
+        estimate = max(shells_abs[k_order + 1], shells_abs[k_order + 2])
+        if k_order >= 4:
+            last = max(shells_abs[k_order - 1], shells_abs[k_order])
+            older = max(shells_abs[k_order - 3], shells_abs[k_order - 2])
+            if estimate > last > older:
+                raise TailNotConvergingError(
+                    f"tail shells are growing at N={self.n_from}, K={k_order}"
                 )
-            out /= x - 1
-        else:
-            for t in range(k - 1):
-                out *= x + t
-        pref_k += k
-    return out
+        value = mp.mpc(0)
+        for sh in self.shells[: k_order + 1]:
+            value += sh
+        return value, estimate
+
+    def _add_shell(self) -> None:
+        m = len(self.shells)
+        ratios = bernoulli_ratios(m, self.star)
+        power = mp.power(self.n_from, len(self.ss) - self.total_s - m)
+        acc = [mp.mpc(0), mp.zero]
+        self._visit(self.root, m, ratios, power, acc)
+        self.shells.append(acc[0])
+        self.shells_abs.append(acc[1])
+
+    def _visit(self, node: _TailNode, rest: int, ratios: list, power, acc: list) -> None:
+        """Advance ``node`` to k_(j+1) = rest and add the terms of its subtree
+        in this shell to ``acc``, in lexicographic order of the k-tuples."""
+        ratio = ratios[rest]
+        run = node.advance(rest)
+        if node.depth == len(self.ss) - 1:
+            if ratio:
+                coeff = node.coeff * ratio
+                term = run * (mp.mpf(coeff.numerator) / coeff.denominator) * power
+                acc[0] += term
+                acc[1] += abs(term)
+            return
+        node.children.append(node.child(run, ratio, rest, self.ss) if ratio else None)
+        for k, child in enumerate(node.children):
+            if child is not None:
+                self._visit(child, rest - k, ratios, power, acc)
+
+
+class _TailNode:
+    """A prefix (k_1..k_j) of the tail's k-tuples with nonzero coefficient."""
+
+    __slots__ = ("chain", "coeff", "pref_s", "pref_k", "depth", "x", "run", "children")
+
+    def __init__(self, chain, coeff: Fraction, pref_s, pref_k: int, depth: int, ss: list) -> None:
+        self.chain, self.coeff, self.pref_k, self.depth = chain, coeff, pref_k, depth
+        self.pref_s = pref_s + ss[depth]
+        # the next factor is (x)_(k-1), with (x)_(-1) = 1/(x-1)
+        self.x = self.pref_s + pref_k - depth
+        self.run = None
+        self.children: list[_TailNode | None] = []
+
+    def child(self, chain, ratio: Fraction, k: int, ss: list) -> _TailNode:
+        depth = self.depth + 1
+        return _TailNode(chain, self.coeff * ratio, self.pref_s, self.pref_k + k, depth, ss)
+
+    def advance(self, k: int):
+        """Chain product times (x)_(k-1), for k one above the last call's."""
+        if k == 0:
+            if abs(self.x - 1) < POLE_TOL:
+                j = self.depth + 1
+                factor = {1: "s1", 2: "s1+s2"}.get(j, f"s1+..+s{j}")
+                factor += f"+{self.pref_k}-{j}" if self.pref_k else f"-{j}"
+                raise PoleProximityError(f"reciprocal factor 1/({factor}) is singular")
+            return self.chain / (self.x - 1)
+        self.run = self.chain if k == 1 else self.run * (self.x + (k - 2))
+        return self.run
 
 
 def zeta_tail(
@@ -177,45 +247,7 @@ def zeta_tail(
     Sums the expansion over multi-indices |k| <= k_order; the returned
     estimate is the absolute-sum of the first omitted shell.
     """
-    _check_variant(variant)
-    if n_from < 2:
-        raise ValueError("tail expansions require N >= 2")
-    r = len(s)
-    if r == 0:
-        return mp.mpc(1), mp.zero
-    star = variant == "star"
-    ss = [to_mpc(x) for x in s]
-    total_s = mp.fsum(x.real for x in ss) + 1j * mp.fsum(x.imag for x in ss)
-    shells = [mp.mpc(0)] * (k_order + 3)
-    shells_abs = [mp.zero] * (k_order + 3)
-    for ks in _k_tuples(r, k_order + 2):
-        coeff = Fraction(1)
-        skip = False
-        for k in ks:
-            b = bernoulli(k, star=star)
-            if b == 0:
-                skip = True
-                break
-            coeff *= b / factorial(k)
-        if skip:
-            continue
-        term = _chain_product(ss, ks)
-        term *= mp.mpf(coeff.numerator) / coeff.denominator
-        term *= mp.power(n_from, r - total_s - sum(ks))
-        shells[sum(ks)] += term
-        shells_abs[sum(ks)] += abs(term)
-    estimate = max(shells_abs[k_order + 1], shells_abs[k_order + 2])
-    if k_order >= 4:
-        last = max(shells_abs[k_order - 1], shells_abs[k_order])
-        older = max(shells_abs[k_order - 3], shells_abs[k_order - 2])
-        if estimate > last > older:
-            raise TailNotConvergingError(
-                f"tail shells are growing at N={n_from}, K={k_order}"
-            )
-    value = mp.mpc(0)
-    for sh in shells[: k_order + 1]:
-        value += sh
-    return value, estimate
+    return _TailShells(s, n_from, variant).truncate(k_order)
 
 
 def _tail_auto(
@@ -223,15 +255,14 @@ def _tail_auto(
 ) -> tuple[mpmath.mpc, mpmath.mpf]:
     """Grow the tail order until the first omitted shell is below tolerance."""
     target = mp.mpf(10) ** (-(digits + 2))
-    k_order = 4
+    shells = _TailShells(s, n_from, variant)
     best: tuple[mpmath.mpc, mpmath.mpf] | None = None
-    while k_order <= K_CAP:
-        value, est = zeta_tail(s, n_from, k_order, variant)
+    for k_order in range(4, K_CAP + 1, 2):
+        value, est = shells.truncate(k_order)
         if est < target:
             return value, est
         if best is None or est < best[1]:
             best = (value, est)
-        k_order += 2
     raise TailNotConvergingError(
         f"tail at N={n_from} stalls at estimate {mpmath.nstr(best[1])}"
         if best
@@ -261,6 +292,13 @@ def _merge_patterns(r: int) -> Iterator[tuple[tuple[int, int], ...]]:
             yield ((0, first_len),) + shifted
 
 
+def _exact_key(x):
+    """Cache key of one argument: its exact value, never a rounded print."""
+    if _is_exact(x):
+        return x
+    return type(x).__name__, getattr(x, "_mpf_", None) or getattr(x, "_mpc_", x)
+
+
 def zeta_value_with_error(
     s: Sequence, digits: int = 12, variant: str = "strict"
 ) -> tuple[mpmath.mpc, mpmath.mpf]:
@@ -271,7 +309,7 @@ def zeta_value_with_error(
         raise ValueError(f"depth {r} exceeds cap {DEPTH_CAP}")
     if r == 0:
         return mp.mpc(1), mp.zero
-    key = (tuple(str(x) for x in s), digits, variant)
+    key = (tuple(map(_exact_key, s)), digits, variant)
     with _value_lock:
         hit = _value_cache.get(key)
     if hit is not None:
@@ -350,17 +388,11 @@ def zeta_tail_via_values(
     r = len(s)
     if r == 0:
         return mp.mpc(1)
-    if variant == "strict":
-        total = zeta_value(s, digits + 4) - zeta_truncated(s, n_from + 1)
-        for j in range(1, r):
-            total -= zeta_tail_via_values(s[:j], n_from, digits) * zeta_truncated(
-                s[j:], n_from + 1
-            )
-        return total
-    total = zeta_value(s, digits + 4, "star") - zeta_truncated(s, n_from, "star")
+    top = n_from + 1 if variant == "strict" else n_from
+    total = zeta_value(s, digits + 4, variant) - zeta_truncated(s, top, variant)
     for j in range(1, r):
-        total -= zeta_tail_via_values(s[:j], n_from, digits, "star") * zeta_truncated(
-            s[j:], n_from, "star"
+        total -= zeta_tail_via_values(s[:j], n_from, digits, variant) * zeta_truncated(
+            s[j:], top, variant
         )
     return total
 
@@ -389,6 +421,7 @@ def zeta_partial_derivative(
 
 
 def _nested_central(fn, center: list, order: tuple[int, ...], h) -> mpmath.mpc:
+    """Mixed partial derivative of ``fn`` by nested central differences."""
     idx = next((i for i, k in enumerate(order) if k > 0), None)
     if idx is None:
         return fn(center)
@@ -440,17 +473,11 @@ def reg_correction_term(
     """
     i = len(point)
     ss = [to_mpc(x) for x in s]
+    ratios = bernoulli_ratios(max(0, i - sum(point)), star=not star)
     total = mp.mpc(0)
     for ks in correction_tuples(point):
-        coeff = Fraction(1)
-        skip = False
-        for k in ks:
-            b = bernoulli(k + 1, star=not star)
-            if b == 0:
-                skip = True
-                break
-            coeff *= b / factorial(k + 1)
-        if skip:
+        coeff = prod((ratios[k + 1] for k in ks), start=Fraction(1))
+        if coeff == 0:
             continue
         chain = mp.mpc(1)
         pref_s = mp.mpc(0)

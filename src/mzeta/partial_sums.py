@@ -22,14 +22,13 @@ import threading
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import mpmath
 from mpmath import mp
 
 from .config import max_n
 from .errors import InsufficientPrecisionError, PrecisionUnreachableError
-from .exact import bernoulli
+from .exact import bernoulli_ratios
 from .scale import COEFF_ZERO, INF, Coeff, ScalePoly, ScaleSeries
 
 _A_MAX = 40
@@ -149,7 +148,7 @@ def sum_basis(term: BasisTerm, precision: int) -> SummationResult:
             break
         if m + 2 * j - 1 > precision:
             break
-        b = bernoulli(2 * j) / factorial(2 * j)
+        b = bernoulli_ratios(2 * j)[-1]
         for k, c in h.items():
             cells[k] = cells.get(k, Fraction(0)) + b * c
         h = _derivative(_derivative(h))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import ConstantNotDeterminedError, UnresolvedConstantError
 
@@ -379,23 +379,3 @@ class ScaleSeries:
                 head = "*".join(mono) or "1"
                 bits.append(f"({c})*{head}")
         return " + ".join(bits) + f" + O(X^{self.precision})"
-
-
-# Spec-facing aliases for the operation names.
-def series_add(f: ScaleSeries, g: ScaleSeries) -> ScaleSeries:
-    return f + g
-
-
-def series_mul(f: ScaleSeries, g: ScaleSeries) -> ScaleSeries:
-    return f * g
-
-
-def series_order(f: ScaleSeries) -> float:
-    return f.order()
-
-
-def constant_term(f: ScaleSeries, values: Mapping[str, object] | None = None):
-    return f.constant_term(values)
-
-
-Resolver = Callable[[str], object]

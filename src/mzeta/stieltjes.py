@@ -341,8 +341,8 @@ def _constant_by_assembly(
             return mzv.reg_via_tails(point, s, digits + 6, star=star)
 
         center = [mp.mpf(a) for a in point]
-        d_h = _central_mixed(fn, center, order, h)
-        d_h2 = _central_mixed(fn, center, order, h / 2)
+        d_h = mzv._nested_central(fn, center, order, h)
+        d_h2 = mzv._nested_central(fn, center, order, h / 2)
         deriv = (4 * d_h2 - d_h) / 3
         value = (-1) ** k_total * deriv
         err = max(abs(d_h2 - d_h) / 3, abs(value) * mp.mpf(10) ** (-digits))
@@ -373,21 +373,6 @@ def _neville_at_zero(samples: list[tuple]) -> mpmath.mpf:
         for i in range(n - level):
             ys[i] = (xs[i + level] * ys[i] - xs[i] * ys[i + 1]) / (xs[i + level] - xs[i])
     return ys[0]
-
-
-def _central_mixed(fn, center: list, order: OrderIndex, h) -> mpmath.mpf:
-    """Mixed partial derivative by nested central differences."""
-    idx = next((i for i, k in enumerate(order) if k > 0), None)
-    if idx is None:
-        return fn(center)
-    lower = tuple(k - (1 if i == idx else 0) for i, k in enumerate(order))
-
-    def shifted(delta):
-        pt = list(center)
-        pt[idx] = pt[idx] + delta
-        return _central_mixed(fn, pt, lower, h)
-
-    return (shifted(h) - shifted(-h)) / (2 * h)
 
 
 # -- regularised power series -------------------------------------------------

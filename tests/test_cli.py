@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from mzeta.cli import main
+from mzeta.mzv import DEPTH_CAP
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +92,26 @@ class TestZetaCommand:
         code, _, err = run_cli(capsys, "zeta", "--args", "0.5", "--digits", "45")
         assert code == 3
         assert "did not reach" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "1"])
+    def test_bad_max_n_env_is_parse_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MZETA_MAX_N", raw)
+        code, out, err = run_cli(capsys, "zeta", "--args=2.5,1.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MZETA_MAX_N must be")
+
+    def test_depth_cap_above_value_cap_is_parse_error(self, capsys):
+        too_deep = ",".join(["1"] * (DEPTH_CAP + 1))
+        code, _, err = run_cli(capsys, "zeta", f"--args={too_deep}", f"--depth-cap={DEPTH_CAP + 2}")
+        assert code == 2
+        assert err == f"error: --depth-cap must be in 0..{DEPTH_CAP}\n"
+
+    def test_pole_proximity_names_the_factor(self, capsys):
+        # not on the polar set (the exact check passes), but 1e-17 from it
+        code, _, err = run_cli(capsys, "zeta", "--args=1.00000000000000001,2")
+        assert code == 3
+        assert err == "error: reciprocal factor 1/(s1-1) is singular\n"
 
     def test_star_constant_at_origin(self, capsys):
         # weak top bound shifts the counting constant to zero

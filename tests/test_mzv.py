@@ -5,9 +5,14 @@ from math import factorial
 import pytest
 from mpmath import mp
 
+from mzeta import mzv
+from mzeta.config import to_mpc
 from mzeta.errors import PolarPointError, PoleProximityError, TailNotConvergingError
-from mzeta.exact import rising
+from mzeta.exact import bernoulli, rising
 from mzeta.mzv import (
+    K_CAP,
+    POLE_TOL,
+    _tail_auto,
     polar_description,
     reg_via_tails,
     zeta_partial_derivative,
@@ -136,6 +141,19 @@ class TestValues:
         # odd negative sums are fine at depth 2
         value = zeta_value((Fraction(3, 2), Fraction(-5, 2)), 10)
         assert mp.isfinite(value.real)
+
+    def test_cache_keys_on_exact_arguments(self):
+        # the two first arguments print alike at 15 digits but differ by 1e-18
+        with mp.workdps(40):
+            near = mp.mpf(3) + mp.mpf("1e-18")
+        with mp.workdps(15):
+            at_three = zeta_value((mp.mpf(3), 2), 25)
+            got = zeta_value((near, 2), 25)
+            mzv._value_cache.clear()
+            fresh = zeta_value((near, 2), 25)
+        with mp.workdps(30):
+            assert got == fresh
+            assert abs(got - at_three) > 1e-19
 
     def test_internal_level_independence(self):
         for s in [(3, 2), (-1,), (0.5,)]:
@@ -276,3 +294,179 @@ def test_polar_description_exact_vs_numeric():
     assert polar_description((Fraction(5, 2), Fraction(-1, 2))) is not None
     assert polar_description((2.0, 1.5)) is None
     assert polar_description(()) is None
+
+
+# -- reference: the flat enumeration of the tail expansion -------------------
+#
+# Every k-tuple with |k| <= K+2 is enumerated in lexicographic order and its
+# coefficient and chain product are rebuilt from scratch.  The shell builder
+# in mzv must return bit-identical values and raise the same exceptions.
+
+
+def _flat_k_tuples(depth, total_cap):
+    if depth == 0:
+        yield ()
+        return
+    for head in range(total_cap + 1):
+        for tail in _flat_k_tuples(depth - 1, total_cap - head):
+            yield (head,) + tail
+
+
+def _flat_chain_product(ss, ks):
+    out = mp.mpc(1)
+    pref_s = mp.mpc(0)
+    pref_k = 0
+    for j, k in enumerate(ks):
+        pref_s += ss[j]
+        x = pref_s + pref_k - j
+        if k == 0:
+            if abs(x - 1) < POLE_TOL:
+                raise PoleProximityError("reciprocal factor is singular")
+            out /= x - 1
+        else:
+            for t in range(k - 1):
+                out *= x + t
+        pref_k += k
+    return out
+
+
+def _flat_zeta_tail(s, n_from, k_order, variant="strict"):
+    if n_from < 2:
+        raise ValueError("tail expansions require N >= 2")
+    r = len(s)
+    if r == 0:
+        return mp.mpc(1), mp.zero
+    star = variant == "star"
+    ss = [to_mpc(x) for x in s]
+    total_s = mp.fsum(x.real for x in ss) + 1j * mp.fsum(x.imag for x in ss)
+    shells = [mp.mpc(0)] * (k_order + 3)
+    shells_abs = [mp.zero] * (k_order + 3)
+    for ks in _flat_k_tuples(r, k_order + 2):
+        coeff = Fraction(1)
+        skip = False
+        for k in ks:
+            b = bernoulli(k, star=star)
+            if b == 0:
+                skip = True
+                break
+            coeff *= b / factorial(k)
+        if skip:
+            continue
+        term = _flat_chain_product(ss, ks)
+        term *= mp.mpf(coeff.numerator) / coeff.denominator
+        term *= mp.power(n_from, r - total_s - sum(ks))
+        shells[sum(ks)] += term
+        shells_abs[sum(ks)] += abs(term)
+    estimate = max(shells_abs[k_order + 1], shells_abs[k_order + 2])
+    if k_order >= 4:
+        last = max(shells_abs[k_order - 1], shells_abs[k_order])
+        older = max(shells_abs[k_order - 3], shells_abs[k_order - 2])
+        if estimate > last > older:
+            raise TailNotConvergingError("tail shells are growing")
+    value = mp.mpc(0)
+    for sh in shells[: k_order + 1]:
+        value += sh
+    return value, estimate
+
+
+def _flat_tail_auto(s, n_from, digits, variant):
+    target = mp.mpf(10) ** (-(digits + 2))
+    for k_order in range(4, K_CAP + 1, 2):
+        value, est = _flat_zeta_tail(s, n_from, k_order, variant)
+        if est < target:
+            return value, est
+    raise TailNotConvergingError("tail stalls")
+
+
+def _outcome(fn, *args):
+    """(value bits, estimate bits) or the exception type."""
+    try:
+        value, est = fn(*args)
+    except (PoleProximityError, TailNotConvergingError, ValueError) as exc:
+        return type(exc)
+    return mp.mpc(value)._mpc_, mp.mpf(est)._mpf_
+
+
+def _random_point(rng, depth):
+    out = []
+    for _ in range(depth):
+        re = rng.choice([rng.uniform(-2.5, 4.0), rng.randint(-2, 4) + 0.5, rng.randint(2, 4)])
+        if rng.random() < 0.3:
+            out.append(mp.mpc(re, rng.uniform(-1.0, 1.0)))
+        else:
+            out.append(Fraction(re).limit_denominator(1000) if isinstance(re, float) else re)
+    return tuple(out)
+
+
+TAIL_GRID = [
+    (depth, n_from, k_order, variant, dps)
+    for depth in (1, 2, 3)
+    for n_from in (2, 5, 10, 20)
+    for k_order in (0, 1, 4, 14, 30)
+    for variant in ("strict", "star")
+    for dps in (20, 30, 60)
+]
+
+
+class TestTailOracle:
+    def test_zeta_tail_matches_flat_enumeration(self):
+        rng = random.Random(20190212)
+        cases = rng.sample(TAIL_GRID, 90)
+        # pole proximity at the first and at a later factor, and a tail that
+        # cannot converge at N=2
+        cases_s = [_random_point(rng, depth) for depth, *_ in cases]
+        cases += [(1, 10, 4, "strict", 30), (2, 10, 4, "star", 30), (1, 2, 30, "strict", 20)]
+        cases_s += [(1 + mp.mpf(10) ** -14,), (Fraction(5, 2), Fraction(-1, 2)), (2,)]
+        outcomes = set()
+        for (depth, n_from, k_order, variant, dps), s in zip(cases, cases_s):
+            with mp.workdps(dps):
+                new = _outcome(zeta_tail, s, n_from, k_order, variant)
+                old = _outcome(_flat_zeta_tail, s, n_from, k_order, variant)
+            assert new == old, (s, n_from, k_order, variant, dps)
+            outcomes.add(new if isinstance(new, type) else tuple)
+        assert outcomes == {tuple, PoleProximityError, TailNotConvergingError}
+
+    def test_tail_auto_matches_flat_enumeration(self):
+        rng = random.Random(5)
+        cases = [
+            ((Fraction(5, 2),), 2, "strict"),
+            ((3, mp.mpc(2, 0.5)), 2, "star"),
+            ((1 + mp.mpf(10) ** -14,), 10, "strict"),
+        ]
+        for _ in range(16):
+            depth = rng.choice((1, 1, 2, 2, 3))
+            n_from = rng.choice((2, 5, 10, 20) if depth < 3 else (10, 20))
+            cases.append((_random_point(rng, depth), n_from, rng.choice(("strict", "star"))))
+        outcomes = set()
+        for s, n_from, variant in cases:
+            with mp.workdps(rng.choice((20, 30))):
+                new = _outcome(_tail_auto, s, n_from, 10, variant)
+                old = _outcome(_flat_tail_auto, s, n_from, 10, variant)
+            assert new == old, (s, n_from, variant)
+            outcomes.add(new if isinstance(new, type) else tuple)
+        assert outcomes == {tuple, PoleProximityError, TailNotConvergingError}
+
+    def test_tail_auto_builds_each_shell_once(self, monkeypatch):
+        built = []
+        add_shell = mzv._TailShells._add_shell
+
+        def counted(self):
+            built.append(len(self.shells))
+            add_shell(self)
+
+        monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
+        with mp.workdps(25):
+            _, est = _tail_auto((Fraction(5, 2), Fraction(9, 5)), 20, 12, "strict")
+            assert est < mp.mpf(10) ** -14
+            assert 8 < len(built) and built == list(range(len(built)))
+            # at N=2 the orders grow until the shells do
+            built.clear()
+            with pytest.raises(TailNotConvergingError):
+                _tail_auto((Fraction(5, 2),), 2, 30, "strict")
+            assert 8 < len(built) and built == list(range(len(built)))
+
+    def test_pole_message_names_the_factor(self):
+        with pytest.raises(PoleProximityError, match=r"1/\(s1-1\) is singular"):
+            zeta_tail((1 + mp.mpf(10) ** -14, 2), 10, 4)
+        with pytest.raises(PoleProximityError, match=r"1/\(s1\+s2\+2-2\) is singular"):
+            zeta_tail((Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14), 10, 4)
