@@ -1,7 +1,8 @@
-"""Runtime limits and numeric coercions shared by the numeric modules."""
+"""Runtime limits, numeric coercions and the memo shared by the numeric modules."""
 
 from __future__ import annotations
 
+import functools
 import os
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import mpmath
 from mpmath import mp
 
 DEFAULT_MAX_N = 2**20
+DEPTH_CAP = 6
 
 
 def to_mpf(x) -> mpmath.mpf:
@@ -36,3 +38,28 @@ def max_n() -> int:
     if value < 2:
         raise ValueError("MZETA_MAX_N must be >= 2")
     return value
+
+
+def memo(key):
+    """Memoise a function on ``key``, called with the function's own arguments.
+
+    The entries live for the life of the process in the dict ``fn.cache``;
+    a call that raises stores nothing.  There is no lock: parallel
+    verification runs in processes (mpmath's context is process-global), and
+    under the GIL two threads racing on one key only compute it twice.
+    """
+
+    def decorate(fn):
+        cache = {}
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            k = key(*args, **kwargs)
+            if k not in cache:
+                cache[k] = fn(*args, **kwargs)
+            return cache[k]
+
+        wrapper.cache = cache
+        return wrapper
+
+    return decorate

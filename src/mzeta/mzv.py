@@ -24,7 +24,6 @@ between continued values occurs away from the polar set.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import prod
 from typing import Iterator, Sequence
@@ -32,7 +31,7 @@ from typing import Iterator, Sequence
 import mpmath
 from mpmath import mp
 
-from .config import max_n, to_mpc
+from .config import DEPTH_CAP, max_n, memo, to_mpc
 from .errors import (
     PolarPointError,
     PoleProximityError,
@@ -42,7 +41,6 @@ from .errors import (
 from .exact import bernoulli_ratios
 
 POLE_TOL = 1e-12
-DEPTH_CAP = 6
 K_CAP = 40
 
 ComplexLike = complex  # ints, floats, Fractions, mpf, mpc all accepted
@@ -272,10 +270,6 @@ def _tail_auto(
 
 # -- continued values --------------------------------------------------------
 
-_value_cache: dict[tuple, tuple[mpmath.mpc, mpmath.mpf]] = {}
-_value_lock = threading.Lock()
-
-
 def _check_variant(variant: str) -> None:
     if variant not in ("strict", "star"):
         raise ValueError(f"unknown variant: {variant}")
@@ -299,6 +293,7 @@ def _exact_key(x):
     return type(x).__name__, getattr(x, "_mpf_", None) or getattr(x, "_mpc_", x)
 
 
+@memo(key=lambda s, digits=12, variant="strict": (tuple(map(_exact_key, s)), digits, variant))
 def zeta_value_with_error(
     s: Sequence, digits: int = 12, variant: str = "strict"
 ) -> tuple[mpmath.mpc, mpmath.mpf]:
@@ -309,12 +304,6 @@ def zeta_value_with_error(
         raise ValueError(f"depth {r} exceeds cap {DEPTH_CAP}")
     if r == 0:
         return mp.mpc(1), mp.zero
-    key = (tuple(map(_exact_key, s)), digits, variant)
-    with _value_lock:
-        hit = _value_cache.get(key)
-    if hit is not None:
-        return hit
-
     if variant == "star" and r == 1:
         return zeta_value_with_error(s, digits, "strict")
     if variant == "star":
@@ -331,15 +320,11 @@ def zeta_value_with_error(
                 v, e = zeta_value_with_error(merged, digits + 2, "strict")
                 value += v
                 err += e
-        result = (value, err)
-    else:
-        desc = polar_description(s)
-        if desc is not None:
-            raise PolarPointError(desc)
-        result = _strict_value(s, digits)
-    with _value_lock:
-        _value_cache[key] = result
-    return result
+        return value, err
+    desc = polar_description(s)
+    if desc is not None:
+        raise PolarPointError(desc)
+    return _strict_value(s, digits)
 
 
 def zeta_value(s: Sequence, digits: int = 12, variant: str = "strict") -> mpmath.mpc:

@@ -5,20 +5,20 @@ again have an expansion relative to the scale {(log n)^l n^-m}.  This module
 produces that expansion exactly: the antiderivative and the Bernoulli
 correction terms of (log t)^l t^-m are finite Q-linear combinations of basis
 functions, computed symbolically, while the regularised constant (the limit
-of u_N minus the divergent part) is kept as a named slot and resolved
-numerically on demand.
+of u_N minus the divergent part) is kept as a named slot.
 
 Slot naming: the constant attached to the basis pair (l, m) is "em(l,m)", so
-identical slots unify across series.  Known closed forms (Euler's gamma for
-em(0,1), log(2 pi)/2 for em(1,0), zeta values and derivatives for m >= 2) are
-available as metadata through :func:`known_closed_form`; they are never
-substituted silently.
+identical slots unify across series.  This module does not resolve slots
+numerically: :func:`mzeta.stieltjes.resolve_atom` does, as the depth-1
+constant g(m|l) less the rational constant cell of :func:`sum_basis`.  Known
+closed forms (Euler's gamma for em(0,1), log(2 pi)/2 for em(1,0), zeta values
+and derivatives elsewhere) are available as metadata through
+:func:`known_closed_form`; they are never substituted silently.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,12 +26,10 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .config import max_n
-from .errors import InsufficientPrecisionError, PrecisionUnreachableError
+from .config import max_n, memo
+from .errors import InsufficientPrecisionError
 from .exact import bernoulli_ratios
 from .scale import COEFF_ZERO, INF, Coeff, ScalePoly, ScaleSeries
-
-_A_MAX = 40
 
 # A "cell map" represents a finite Q-combination sum c * (log t)^l t^-m
 # as {(m, l): c}; it is the working form for derivatives/antiderivatives.
@@ -115,10 +113,7 @@ def em_slot_name(l: int, m: int) -> str:
     return f"em({l},{m})"
 
 
-_sum_basis_cache: dict[tuple[int, int, float], SummationResult] = {}
-_cache_lock = threading.Lock()
-
-
+@memo(key=lambda term, precision: (term.l, term.m, precision))
 def sum_basis(term: BasisTerm, precision: int) -> SummationResult:
     """Expansion of sum_{1<=n<N} (log n)^l n^-m to X-precision ``precision``.
 
@@ -128,12 +123,6 @@ def sum_basis(term: BasisTerm, precision: int) -> SummationResult:
     part and the slot is exactly zero.
     """
     l, m = term.l, term.m
-    key = (l, m, precision)
-    with _cache_lock:
-        hit = _sum_basis_cache.get(key)
-    if hit is not None:
-        return hit
-
     f: CellMap = {(m, l): Fraction(1)}
     cells: CellMap = dict(_antiderivative(l, m))
     for k, c in f.items():
@@ -167,10 +156,7 @@ def sum_basis(term: BasisTerm, precision: int) -> SummationResult:
         exact = True
 
     series = _cells_to_series(cells, INF if exact and precision >= 0 else precision)
-    result = SummationResult(series, em_slot_name(l, m), exact)
-    with _cache_lock:
-        _sum_basis_cache[key] = result
-    return result
+    return SummationResult(series, em_slot_name(l, m), exact)
 
 
 def sum_sequence(
@@ -218,24 +204,10 @@ def sum_sequence(
     return SummationResult(total, slot if needs_slot else None, exact)
 
 
-# -- numeric resolution ----------------------------------------------------
-
-_constant_cache: dict[str, tuple[int, mpmath.mpf]] = {}
-_constant_lock = threading.Lock()
+# -- slot metadata and shared numeric helpers -------------------------------
 
 
-def basis_partial_sum(l: int, m: int, n_top: int) -> mpmath.mpf:
-    """Numeric sum_{1<=n<N} (log n)^l n^-m at the ambient precision."""
-    total = mp.zero
-    for n in range(1, n_top):
-        term = mp.power(n, -m)
-        if l:
-            term *= mp.ln(n) ** l
-        total += term
-    return total
-
-
-def _parse_em(slot: str) -> tuple[int, int]:
+def parse_em_slot(slot: str) -> tuple[int, int]:
     if not (slot.startswith("em(") and slot.endswith(")")):
         raise ValueError(f"not an em slot: {slot}")
     l_s, m_s = slot[3:-1].split(",")
@@ -259,89 +231,17 @@ def abs_cell_magnitude(series: ScaleSeries, order: int, n: int) -> float:
     return mag * float(n) ** (-order)
 
 
-def resolve_constant(slot: str, digits: int) -> mpmath.mpf:
-    """Numeric value of an "em(l,m)" slot to about ``digits`` digits.
-
-    Computed as the limit of u_N - divergent(N) with the divergent part
-    extended by correction terms until the first omitted term at the
-    scheduled N falls below 10^-(digits+2); the result is validated by
-    doubling N once.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    with _constant_lock:
-        hit = _constant_cache.get(slot)
-    if hit is not None and hit[0] >= digits:
-        return hit[1]
-    l, m = _parse_em(slot)
-    if sum_basis(BasisTerm(l, m), max(0, m + 1)).exact:
-        value = mp.zero
-    else:
-        value = _em_by_summation(l, m, digits)
-    with _constant_lock:
-        prev = _constant_cache.get(slot)
-        if prev is None or prev[0] < digits:
-            _constant_cache[slot] = (digits, value)
-    return value
-
-
-def correction_precision(series: ScaleSeries, n_top: int, target: float) -> int:
-    """Smallest cutoff order whose first omitted nonzero cell is below target.
-
-    Walks the positive orders of ``series`` (shells can be empty by parity,
-    so the first *nonzero* omitted cell is the one that matters); returns
-    -1 when even the last available cells are above target.
-    """
-    orders = [q for q, _ in series.terms if q >= 1]
-    cutoff = 0
-    for q in orders:
-        if abs_cell_magnitude(series, q, n_top) < target:
-            return cutoff
-        cutoff = q
-    return -1 if orders else 0
-
-
-def _em_by_summation(l: int, m: int, digits: int) -> mpmath.mpf:
-    target = 10.0 ** (-(digits + 2))
-    n_top = schedule_n(digits)
-    while True:
-        table = sum_basis(BasisTerm(l, m), _A_MAX).divergent
-        cutoff = correction_precision(table, n_top, target)
-        # -1: even the deepest corrections are large at this N; subtract them
-        # all and let the doubling check below decide whether to grow N.
-        series = table if cutoff == -1 else table.truncated(cutoff)
-        # guard digits against the divergent-part magnitude (cancellation)
-        extra = max(0.0, -series.order() * math.log10(n_top)) if series.terms else 0.0
-        with mp.workdps(digits + 15 + int(extra)):
-            vals = []
-            for n in (n_top, 2 * n_top):
-                u = basis_partial_sum(l, m, n)
-                vals.append(u - series.evaluate(mp.mpf(n), log_n=mp.ln(n)))
-            if abs(vals[1] - vals[0]) <= mpmath.mpf(10) ** (-digits):
-                return vals[1]
-        if 4 * n_top > max_n():
-            raise PrecisionUnreachableError(
-                f"em({l},{m}) did not stabilise to {digits} digits by N={2*n_top}"
-            )
-        n_top *= 4
-
-
-def known_closed_form(slot: str) -> mpmath.mpf | None:
-    """Closed-form value of a slot when one is known, else None.
+def known_closed_form(slot: str) -> mpmath.mpf:
+    """Closed-form value of a slot, at the ambient precision.
 
     Metadata only: resolution never substitutes these silently, but tests
     cross-check against them.
     """
-    l, m = _parse_em(slot)
+    l, m = parse_em_slot(slot)
     if l == 0 and m <= 0:
-        return mp.zero
+        return mp.zero  # the exact slots: the whole constant is rational
     if m == 1:
         return +mpmath.stieltjes(l)
-    if m >= 2:
-        # sum_{n>=1} (log n)^l n^-m = (-1)^l zeta^(l)(m)
-        return (-1) ** l * mpmath.zeta(mp.mpf(m), derivative=l)
-    if m == 0:
-        # regularised value of sum (log n)^l, l >= 1: equals (-1)^l zeta^(l)(0);
-        # for l = 1 this is log(2 pi)/2 by the Stirling formula
-        return (-1) ** l * mpmath.zeta(mp.zero, derivative=l)
-    return None
+    # the (regularised) value of sum_{n>=1} (log n)^l n^-m is (-1)^l zeta^(l)(m);
+    # for em(1,0) this is log(2 pi)/2 by the Stirling formula
+    return (-1) ** l * mpmath.zeta(mp.mpf(m), derivative=l)

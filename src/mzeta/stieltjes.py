@@ -20,7 +20,6 @@ from the strict recursion by adding the N-th term series at each depth.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,12 +29,14 @@ from typing import Iterable, Iterator, Sequence
 import mpmath
 from mpmath import mp
 
-from .config import max_n, to_mpc
+from .config import DEPTH_CAP, max_n, memo, to_mpc, to_mpf
 from .errors import PrecisionUnreachableError
 from .partial_sums import (
+    BasisTerm,
     abs_cell_magnitude,
-    resolve_constant,
+    parse_em_slot,
     schedule_n,
+    sum_basis,
     sum_sequence,
 )
 from .scale import Coeff, ScaleSeries
@@ -43,15 +44,14 @@ from .scale import Coeff, ScaleSeries
 IntPoint = tuple[int, ...]
 OrderIndex = tuple[int, ...]
 
-DEPTH_HARD_CAP = 8
 DEFAULT_DEPTH_CAP = 4
 DEFAULT_DEGREE_CAP = 8
 
 
 def as_point(coords: Iterable[int]) -> IntPoint:
     pt = tuple(int(c) for c in coords)
-    if len(pt) > DEPTH_HARD_CAP:
-        raise ValueError(f"depth {len(pt)} exceeds the hard cap {DEPTH_HARD_CAP}")
+    if len(pt) > DEPTH_CAP:
+        raise ValueError(f"depth {len(pt)} exceeds the cap {DEPTH_CAP}")
     return pt
 
 
@@ -105,10 +105,16 @@ def parse_gamma_atom(name: str) -> tuple[IntPoint, OrderIndex, bool]:
 
 # -- formal expansions -------------------------------------------------------
 
-_expansion_cache: dict[tuple, ScaleSeries] = {}
-_lock = threading.Lock()
+
+def _point_order(point: Sequence[int], order: Sequence[int]) -> tuple[IntPoint, OrderIndex]:
+    return as_point(point), tuple(int(k) for k in order)
 
 
+@memo(
+    key=lambda point, order, precision, star=False: (
+        *_point_order(point, order), precision, star
+    )
+)
 def asymptotic_expansion(
     point: Sequence[int], order: Sequence[int], precision: int, star: bool = False
 ) -> ScaleSeries:
@@ -116,15 +122,9 @@ def asymptotic_expansion(
     ``precision``; the constant cell is the single atom named by
     :func:`gamma_atom`, every other cell is exact apart from lower-depth
     gamma atoms."""
-    point, order = as_point(point), tuple(int(k) for k in order)
+    point, order = _point_order(point, order)
     if len(point) != len(order):
         raise ValueError("point and order must have equal depth")
-    key = (point, order, precision, star)
-    with _lock:
-        hit = _expansion_cache.get(key)
-    if hit is not None:
-        return hit
-
     if not point:
         series = ScaleSeries.one()
     else:
@@ -139,8 +139,6 @@ def asymptotic_expansion(
             series = series.with_constant_cell(
                 Coeff.atom(gamma_atom(point, order, star))
             )
-    with _lock:
-        _expansion_cache[key] = series
     return series
 
 
@@ -161,7 +159,7 @@ def truncated_log_sum(
 
     Depth-recursive running sums, O(n_top * depth) operations.
     """
-    point, order = as_point(point), tuple(int(k) for k in order)
+    point, order = _point_order(point, order)
     if len(point) != len(order):
         raise ValueError("point and order must have equal depth")
     if n_top < 1:
@@ -199,26 +197,39 @@ def truncated_log_sum(
 # -- numeric resolution ------------------------------------------------------
 
 _atom_cache: dict[str, tuple[int, mpmath.mpf]] = {}
-_atom_lock = threading.Lock()
 
 _A_PROBES = (8, 14, 20)
 
 
 def resolve_atom(name: str, digits: int) -> mpmath.mpf:
-    """Numeric value of a named constant atom ("em(l,m)", "g(..)", "gs(..)")."""
-    with _atom_lock:
-        hit = _atom_cache.get(name)
+    """Numeric value of a named constant atom ("em(l,m)", "g(..)", "gs(..)").
+
+    A value resolved earlier to at least ``digits`` digits is reused.
+    """
+    hit = _atom_cache.get(name)
     if hit is not None and hit[0] >= digits:
         return hit[1]
     if name.startswith("em("):
-        value = resolve_constant(name, digits)
+        value = _em_constant(*parse_em_slot(name), digits)
     else:
         point, order, star = parse_gamma_atom(name)
         value = _constant_by_extrapolation(point, order, star, digits)[0]
-    with _atom_lock:
-        prev = _atom_cache.get(name)
-        if prev is None or prev[0] < digits:
-            _atom_cache[name] = (digits, value)
+    _atom_cache[name] = (digits, value)
+    return value
+
+
+def _em_constant(l: int, m: int, digits: int) -> mpmath.mpf:
+    """The slot em(l,m): the depth-1 constant g(m|l) less the rational
+    constant cell of the basis sum, which g's expansion replaces by its own
+    atom (that cell is nonzero only for odd m < 0 with l >= 1)."""
+    basis = sum_basis(BasisTerm(l, m), 0)
+    if basis.exact:
+        return mp.zero
+    value = _constant_by_extrapolation((m,), (l,), False, digits)[0]
+    offset = basis.divergent.cell(0, 0).rational_part()
+    if offset:
+        with mp.workdps(digits + 15):
+            value -= to_mpf(offset)
     return value
 
 
@@ -308,7 +319,7 @@ def stieltjes_constant(
     corrections; agreement of the two routes is part of the test suite, not
     an internal assumption.
     """
-    point, order = as_point(point), tuple(int(k) for k in order)
+    point, order = _point_order(point, order)
     if len(point) > depth_cap:
         raise ValueError(f"depth {len(point)} exceeds depth cap {depth_cap}")
     if method == "extrapolation":
@@ -413,9 +424,20 @@ class EvalResult:
     remainder_estimate: mpmath.mpf
 
 
-_reg_cache: dict[tuple, RegSeries] = {}
+def _reg_series_key(
+    center,
+    degree,
+    digits=12,
+    star=False,
+    depth_cap=DEFAULT_DEPTH_CAP,
+    degree_cap=DEFAULT_DEGREE_CAP,
+):
+    # the caps decide whether a call raises, so a cached series must not
+    # answer a call under other caps
+    return as_point(center), degree, digits, star, depth_cap, degree_cap
 
 
+@memo(key=_reg_series_key)
 def reg_series(
     center: Sequence[int],
     degree: int,
@@ -429,20 +451,12 @@ def reg_series(
         raise ValueError("degree must be >= 0")
     if degree > degree_cap:
         raise ValueError(f"degree {degree} exceeds degree cap {degree_cap}")
-    key = (center, degree, digits, star)
-    with _lock:
-        hit = _reg_cache.get(key)
-    if hit is not None:
-        return hit
     coeffs: dict[OrderIndex, mpmath.mpf] = {}
     for ks in iter_orders(len(center), degree):
         gamma = stieltjes_constant(center, ks, digits, star, depth_cap=depth_cap)
         weight = Fraction((-1) ** sum(ks), math.prod(factorial(k) for k in ks))
         coeffs[ks] = mp.mpf(weight.numerator) / weight.denominator * gamma.value
-    series = RegSeries(center, degree, star, digits, coeffs)
-    with _lock:
-        _reg_cache[key] = series
-    return series
+    return RegSeries(center, degree, star, digits, coeffs)
 
 
 def eval_reg(series: RegSeries, s: Sequence) -> EvalResult:

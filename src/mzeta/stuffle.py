@@ -16,11 +16,12 @@ permuted exponents.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
+
+from .config import memo
 
 LinForm = tuple[int, ...]
 Term = tuple[Fraction, tuple[LinForm, ...]]
@@ -286,10 +287,7 @@ def _zigzag_extensions(positions: list[int], descents: dict[int, bool]) -> Itera
     yield from rec()
 
 
-_b_cache: dict[tuple, RatFunc] = {}
-_b_lock = threading.Lock()
-
-
+@memo(key=lambda I, i, j, nvars=None: (tuple(sorted(set(I))), i, j, j if nvars is None else nvars))
 def b_rational(I: Sequence[int], i: int, j: int, nvars: int | None = None) -> RatFunc:
     """The zigzag order-polytope integral b_{i,j} as an exact rational function.
 
@@ -300,29 +298,20 @@ def b_rational(I: Sequence[int], i: int, j: int, nvars: int | None = None) -> Ra
     if i > j:
         raise ValueError("need i <= j")
     nvars = j if nvars is None else nvars
-    key = (tuple(sorted(set(I))), i, j, nvars)
-    with _b_lock:
-        hit = _b_cache.get(key)
-    if hit is not None:
-        return hit
     if i == j:
-        result = RatFunc.one(nvars)
-    else:
-        iset = set(I)
-        positions = list(range(i + 1, j + 1))
-        descents = {m: (m not in iset) for m in range(i + 1, j)}
-        total = RatFunc.zero(nvars)
-        for ext in _zigzag_extensions(positions, descents):
-            forms = []
-            acc = [0] * nvars
-            for pos in reversed(ext):  # smallest variable first
-                acc[pos - 1] += 1
-                forms.append(tuple(acc))
-            total = total + RatFunc.reciprocal_chain(forms, nvars)
-        result = total
-    with _b_lock:
-        _b_cache[key] = result
-    return result
+        return RatFunc.one(nvars)
+    iset = set(I)
+    positions = list(range(i + 1, j + 1))
+    descents = {m: (m not in iset) for m in range(i + 1, j)}
+    total = RatFunc.zero(nvars)
+    for ext in _zigzag_extensions(positions, descents):
+        forms = []
+        acc = [0] * nvars
+        for pos in reversed(ext):  # smallest variable first
+            acc[pos - 1] += 1
+            forms.append(tuple(acc))
+        total = total + RatFunc.reciprocal_chain(forms, nvars)
+    return total
 
 
 def f_rational(I: Sequence[int], i: int) -> RatFunc:

@@ -149,7 +149,7 @@ class TestValues:
         with mp.workdps(15):
             at_three = zeta_value((mp.mpf(3), 2), 25)
             got = zeta_value((near, 2), 25)
-            mzv._value_cache.clear()
+            zeta_value_with_error.cache.clear()
             fresh = zeta_value((near, 2), 25)
         with mp.workdps(30):
             assert got == fresh

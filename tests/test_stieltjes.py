@@ -4,9 +4,11 @@ from itertools import product
 import pytest
 from mpmath import mp
 
-from mzeta import mzv
+from mzeta import mzv, stieltjes
+from mzeta.config import DEPTH_CAP
 from mzeta.scale import Coeff
 from mzeta.stieltjes import (
+    as_point,
     asymptotic_expansion,
     eval_reg,
     gamma_atom,
@@ -16,6 +18,7 @@ from mzeta.stieltjes import (
     iter_orders,
     parse_gamma_atom,
     reg_series,
+    resolve_atom,
     stieltjes_constant,
     truncated_log_sum,
 )
@@ -140,6 +143,11 @@ class TestStieltjesConstant:
         with pytest.raises(ValueError):
             stieltjes_constant((1,) * 5, (0,) * 5, 8)
 
+    def test_points_deeper_than_the_cap_are_rejected(self):
+        assert as_point([1] * DEPTH_CAP) == (1,) * DEPTH_CAP
+        with pytest.raises(ValueError, match=f"depth {DEPTH_CAP + 1} exceeds the cap"):
+            as_point([1] * (DEPTH_CAP + 1))
+
     def test_doubling_stability(self):
         from mzeta.stieltjes import _constant_by_extrapolation
 
@@ -260,3 +268,27 @@ class TestRegSeries:
     def test_iter_orders_counts(self):
         assert len(list(iter_orders(3, 4))) == 35
         assert list(iter_orders(0, 5)) == [()]
+
+
+class TestCaches:
+    def test_cached_reg_series_still_checks_the_depth_cap(self):
+        reg_series((2, 1), 0, 10)
+        with pytest.raises(ValueError, match="depth 2 exceeds depth cap 1"):
+            reg_series((2, 1), 0, 10, depth_cap=1)
+
+    def test_list_and_tuple_arguments_share_one_expansion(self):
+        from_lists = asymptotic_expansion([2, 1], [1, 0], 3)
+        from_tuples = asymptotic_expansion((2, 1), (1, 0), 3)
+        assert from_tuples is from_lists
+        assert asymptotic_expansion.cache[((2, 1), (1, 0), 3, False)] is from_lists
+
+    def test_atom_reuses_more_digits_and_recomputes_for_more(self):
+        name = "g(3|1)"
+        stieltjes._atom_cache.pop(name, None)
+        v20 = resolve_atom(name, 20)
+        assert resolve_atom(name, 12) is v20
+        v30 = resolve_atom(name, 30)
+        assert v30 is not v20
+        assert resolve_atom(name, 25) is v30
+        with mp.workdps(40):
+            assert abs(v30 - v20) < 1e-20
