@@ -145,6 +145,8 @@ def _cmd_stieltjes(ns: argparse.Namespace) -> int:
     order = _parse_int_list(ns.order)
     if len(point) != len(order):
         raise CliParseError("--point and --order must have equal length")
+    if len(point) > ns.depth_cap:
+        raise CliParseError(f"depth {len(point)} exceeds --depth-cap {ns.depth_cap}")
     if any(k < 0 for k in order):
         raise CliParseError("--order entries must be >= 0")
     value = stieltjes.stieltjes_constant(

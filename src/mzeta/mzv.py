@@ -30,6 +30,8 @@ from typing import Iterator, Sequence
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fone, from_int, fzero, mpc_add, mpc_mul, mpc_one, mpc_pow
+from mpmath.libmp import mpc_zero, mpf_add, mpf_log, mpf_mul, mpf_pow_int
 
 from .config import DEPTH_CAP, max_n, memo, to_mpc
 from .errors import (
@@ -42,8 +44,6 @@ from .exact import bernoulli_ratios
 
 POLE_TOL = 1e-12
 K_CAP = 40
-
-ComplexLike = complex  # ints, floats, Fractions, mpf, mpc all accepted
 
 
 def working_dps(digits: int) -> int:
@@ -98,39 +98,75 @@ def polar_description(s: Sequence) -> str | None:
 # -- truncations -------------------------------------------------------------
 
 
+def nested_sums(
+    s: Sequence, tops: Sequence[int], order: Sequence[int] | None = None, star: bool = False
+) -> tuple[list, list]:
+    """Nested sums of prod_j n_j^-s_j log^k_j(n_j) at several tops, and of
+    every suffix of s, from one sweep over n in O(depth) memory.
+
+    Strict sums run over n1 > ... > nr > 0, star sums over n1 >= ... >= nr >= 1,
+    and a top T bounds n1 < T.  At each n every level's running sum advances,
+    innermost first: level j adds n^-s_j log^k_j(n) times level j+1's sum
+    below n (strict) or up to n (star).  With ``order`` the s_j are integers
+    and the sums are real (mpf); without it they may be complex, with no log
+    factors (mpc).  Each step is the mpmath call that the level-by-level
+    recursion makes, at the ambient precision and in the same order, so the
+    sums are bit-for-bit that recursion's.
+
+    Returns ``(at_tops, levels)``: the sum over n1 < T for each T in
+    ``tops``, and the sum of each suffix s[j:] below max(tops), ending with
+    1 for the empty suffix.
+    """
+    if min(tops) < 1:
+        raise ValueError("n_top must be >= 1")
+    prec, rnd = mp._prec_rounding
+    real = order is not None
+    if real:
+        zero, one, add, mul, make = fzero, fone, mpf_add, mpf_mul, mp.make_mpf
+        kinds = [(int(a), int(k)) for a, k in zip(s, order)]
+    else:
+        zero, one, add, mul, make = mpc_zero, mpc_one, mpc_add, mpc_mul, mp.make_mpc
+        kinds = [(-to_mpc(x))._mpc_ for x in s]
+    distinct = list(dict.fromkeys(kinds))  # equal levels share one weight per n
+    slots = [distinct.index(kind) for kind in kinds]
+    with_log = real and any(k for _, k in distinct)
+
+    def weights(n: int) -> list:
+        x = from_int(n)
+        if not real:
+            return [mpc_pow((x, fzero), e, prec, rnd) for e in distinct]
+        log_n = mpf_log(x, prec, rnd) if with_log else None
+        out = []
+        for a, k in distinct:
+            w = mpf_pow_int(x, -a, prec, rnd)
+            out.append(mpf_mul(w, mpf_pow_int(log_n, k, prec, rnd), prec, rnd) if k else w)
+        return out
+
+    acc = [zero] * len(kinds) + [one]  # acc[j]: running sum of the suffix s[j:]
+    reached, n_from = {}, 1
+    for top in sorted(set(tops)):
+        for n in range(n_from, top):
+            ws = weights(n)
+            inner = None
+            for j in range(len(slots) - 1, -1, -1):
+                w = ws[slots[j]]
+                t = w if inner is None else mul(w, inner, prec, rnd)
+                old = acc[j]
+                acc[j] = add(old, t, prec, rnd)
+                inner = acc[j] if star else old
+        n_from = top
+        reached[top] = acc[0]
+    return [make(reached[top]) for top in tops], [make(v) for v in acc]
+
+
 def zeta_truncated(s: Sequence, n_top: int, variant: str = "strict") -> mpmath.mpc:
     """Exact nested sum with n1 < n_top (strict or weak inner inequalities).
 
-    Running-sum recursion, O(n_top * depth) multiprecision operations.
+    One sweep of :func:`nested_sums`: O(n_top * depth) multiprecision
+    operations in O(depth) memory.
     """
     _check_variant(variant)
-    r = len(s)
-    if n_top < 1:
-        raise ValueError("N must be >= 1")
-    if r == 0:
-        return mp.mpc(1)
-    star = variant == "star"
-    ss = [to_mpc(x) for x in s]
-    prev: list | None = None
-    acc = mp.mpc(0)
-    for j in range(r - 1, -1, -1):
-        acc = mp.mpc(0)
-        cum = [mp.mpc(0)] * n_top if j > 0 else None
-        for n in range(1, n_top):
-            t = mp.power(n, -ss[j])
-            if prev is not None:
-                t *= prev[n]
-            if cum is not None:
-                if star:
-                    acc += t
-                    cum[n] = acc
-                else:
-                    cum[n] = acc
-                    acc += t
-            else:
-                acc += t
-        prev = cum
-    return acc
+    return nested_sums(s, (n_top,), star=variant == "star")[0][0]
 
 
 # -- tails -------------------------------------------------------------------
@@ -332,18 +368,17 @@ def zeta_value(s: Sequence, digits: int = 12, variant: str = "strict") -> mpmath
 
 
 def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
-    r = len(s)
     target = mp.mpf(10) ** (-(digits + 2))
     n_level, k_order = 16, 4
     cap = max_n()
     with mp.workdps(working_dps(digits)):
         while True:
             try:
-                total = zeta_truncated(s, n_level)
+                # the whole truncation and every suffix's, from one sweep
+                total, *suffixes = nested_sums(s, (n_level,))[1]
                 err = mp.zero
-                for j in range(1, r + 1):
+                for j, suffix in enumerate(suffixes, start=1):
                     tail, est = zeta_tail(s[:j], n_level - 1, k_order)
-                    suffix = zeta_truncated(s[j:], n_level)
                     total += tail * suffix
                     err += est * max(mp.one, abs(suffix))
                 if err < target:
@@ -374,11 +409,11 @@ def zeta_tail_via_values(
     if r == 0:
         return mp.mpc(1)
     top = n_from + 1 if variant == "strict" else n_from
-    total = zeta_value(s, digits + 4, variant) - zeta_truncated(s, top, variant)
+    value = zeta_value(s, digits + 4, variant)
+    truncations = nested_sums(s, (top,), star=variant == "star")[1]
+    total = value - truncations[0]
     for j in range(1, r):
-        total -= zeta_tail_via_values(s[:j], n_from, digits, variant) * zeta_truncated(
-            s[j:], top, variant
-        )
+        total -= zeta_tail_via_values(s[:j], n_from, digits, variant) * truncations[j]
     return total
 
 

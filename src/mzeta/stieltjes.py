@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import mpmath
 from mpmath import mp
 
+from . import mzv
 from .config import DEPTH_CAP, max_n, memo, to_mpc, to_mpf
 from .errors import PrecisionUnreachableError
 from .partial_sums import (
@@ -157,41 +158,13 @@ def truncated_log_sum(
     relaxes the inner inequalities to n1 >= ... >= nr >= 1 (the top bound
     stays strict, so pass ``n_top = N + 1`` for a weak top bound).
 
-    Depth-recursive running sums, O(n_top * depth) operations.
+    One sweep of :func:`mzv.nested_sums`: O(n_top * depth) operations in
+    O(depth) memory.
     """
     point, order = _point_order(point, order)
     if len(point) != len(order):
         raise ValueError("point and order must have equal depth")
-    if n_top < 1:
-        raise ValueError("n_top must be >= 1")
-    r = len(point)
-    if r == 0:
-        return mp.one
-    logs = [mp.zero] * n_top
-    for n in range(2, n_top):
-        logs[n] = mp.ln(n)
-    prev: list | None = None  # cumulative sums of the inner level
-    acc = mp.zero
-    for j in range(r - 1, -1, -1):
-        a, k = point[j], order[j]
-        acc = mp.zero
-        cum = [mp.zero] * n_top if j > 0 else None
-        for n in range(1, n_top):
-            w = mp.power(n, -a)
-            if k:
-                w *= logs[n] ** k
-            t = w * (prev[n] if prev is not None else mp.one)
-            if cum is not None:
-                if star:
-                    acc += t
-                    cum[n] = acc  # weak: inner index may equal n
-                else:
-                    cum[n] = acc  # strict: inner index below n
-                    acc += t
-            else:
-                acc += t
-        prev = cum
-    return acc
+    return mzv.nested_sums(point, (n_top,), order, star)[0][0]
 
 
 # -- numeric resolution ------------------------------------------------------
@@ -234,7 +207,12 @@ def _em_constant(l: int, m: int, digits: int) -> mpmath.mpf:
 
 
 def _resolve_series_atoms(series: ScaleSeries, digits: int) -> dict[str, mpmath.mpf]:
-    return {name: resolve_atom(name, digits) for name in series.atoms()}
+    # deepest first, then by name, whatever the string hashing: a shallower
+    # atom that a deeper one resolves on the way, at more digits, is reused
+    def deepest_first(name: str) -> tuple[int, str]:
+        return (-1 if name.startswith("em(") else -len(parse_gamma_atom(name)[0])), name
+
+    return {name: resolve_atom(name, digits) for name in sorted(series.atoms(), key=deepest_first)}
 
 
 def _constant_by_extrapolation(
@@ -264,10 +242,13 @@ def _constant_by_extrapolation(
             dps = digits + 15 + int(extra)
             values = _resolve_series_atoms(series, digits + 8 + int(extra))
             with mp.workdps(dps):
-                vals = []
-                for n in (n_top, 2 * n_top):
-                    u = truncated_log_sum(point, order, n + (1 if star else 0), star)
-                    vals.append(u - series.evaluate(mp.mpf(n), log_n=mp.ln(n), values=values))
+                tops = (n_top, 2 * n_top)
+                # a star sum includes its top index: u_N sums n1 < N+1
+                sums = mzv.nested_sums(point, [n + int(star) for n in tops], order, star)[0]
+                vals = [
+                    u - series.evaluate(mp.mpf(n), log_n=mp.ln(n), values=values)
+                    for n, u in zip(tops, sums)
+                ]
                 err = abs(vals[1] - vals[0])
                 if err <= mpmath.mpf(10) ** (-digits):
                     return vals[1], err
@@ -334,9 +315,6 @@ def stieltjes_constant(
 def _constant_by_assembly(
     point: IntPoint, order: OrderIndex, star: bool, digits: int
 ) -> tuple[mpmath.mpf, mpmath.mpf]:
-    # Deferred import: the numeric continuation layer is optional here.
-    from . import mzv
-
     if not point:
         return mp.one, mp.zero
     k_total = sum(order)
@@ -361,8 +339,6 @@ def _constant_by_assembly(
 
 
 def _reg_center_value(point: IntPoint, star: bool, digits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    from . import mzv
-
     direction = [mp.mpf(1) / (j + 2) for j in range(len(point))]
     base = mp.mpf("0.008")
     samples = []

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzeta.cli import main
 from mzeta.mzv import DEPTH_CAP
@@ -47,6 +50,19 @@ class TestStieltjesCommand:
     def test_bad_integers_are_parse_errors(self, capsys):
         code, _, _ = run_cli(capsys, "stieltjes", "--point", "x", "--order", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, depth, cap",
+        [
+            (["--point=1,1,1,1,1", "--order=0,0,0,0,0"], 5, 4),
+            (["--point=1,1,1", "--order=0,0,0", "--depth-cap=2"], 3, 2),
+        ],
+    )
+    def test_depth_above_the_cap_is_parse_error(self, capsys, argv, depth, cap):
+        code, out, err = run_cli(capsys, "stieltjes", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: depth {depth} exceeds --depth-cap {cap}\n"
 
 
 class TestZetaCommand:
@@ -208,3 +224,130 @@ class TestExpandCommand:
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
+
+
+# -- fuzzing ------------------------------------------------------------------
+#
+# Command lines with at least one input that must be refused before any
+# computation starts (so each example is cheap), in every position the
+# parser and validators read, among otherwise random options.
+
+COMMANDS = ("stieltjes", "zeta", "verify", "expand")
+BAD_INTS = ("x", "", "1.5", "1e3", "1+0i", "--1", "0x10")
+BAD_COMPLEX = ("x", "", "1e3", "1+i", "i", "1.5+", "2;1", "--1", "1_0", "inf")
+INT_OPTIONS = {
+    "stieltjes": ("--digits", "--depth-cap", "--seed"),
+    "zeta": ("--digits", "--depth-cap", "--seed"),
+    "verify": ("--digits", "--depth-cap", "--seed", "--depth", "--jobs"),
+    "expand": ("--digits", "--depth-cap", "--seed", "--degree"),
+}
+FAULTS = {
+    "stieltjes": ("digits", "depth-cap", "not-an-int", "too-deep", "malformed", "negative-order", "mismatch"),
+    "zeta": ("digits", "depth-cap", "not-an-int", "too-deep", "malformed"),
+    "verify": ("digits", "depth-cap", "not-an-int", "identity"),
+    "expand": ("digits", "depth-cap", "not-an-int", "too-deep", "malformed", "degree"),
+}
+
+
+def _int_list(draw, depth, low=-3, high=4):
+    return [str(draw(st.integers(low, high))) for _ in range(depth)]
+
+
+def _complex_token(draw):
+    re_part = draw(st.sampled_from(("0", "1", "2", "-1", "0.5", "2.5", "-1.5")))
+    return re_part + draw(st.sampled_from(("", "+1i", "-0.5j")))
+
+
+def _with_bad_token(draw, tokens, bad):
+    # an empty integer list alone is the depth-0 point, not a malformed one
+    tokens = list(tokens)
+    token = draw(st.sampled_from([b for b in bad if b or tokens]))
+    tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return ",".join(tokens)
+
+
+@st.composite
+def refused_command_lines(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    fault = draw(st.sampled_from(FAULTS[command]))
+    cap = draw(st.integers(0, DEPTH_CAP))
+    depth = draw(st.integers(0, cap))
+    if fault == "too-deep":
+        depth = draw(st.integers(cap + 1, DEPTH_CAP + 2))
+    opts = {"--digits": str(draw(st.integers(1, 50))), "--depth-cap": str(cap)}
+    if fault == "digits":
+        opts["--digits"] = str(draw(st.one_of(st.integers(max_value=0), st.integers(min_value=51))))
+    elif fault == "depth-cap":
+        opts["--depth-cap"] = str(
+            draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=DEPTH_CAP + 1)))
+        )
+    elif fault == "not-an-int":
+        opts[draw(st.sampled_from(INT_OPTIONS[command]))] = draw(st.sampled_from(BAD_INTS))
+    argv = [command]
+    if command == "stieltjes":
+        point, order = _int_list(draw, depth), _int_list(draw, depth, 0, 3)
+        if fault == "negative-order":
+            point, order = point or ["1"], order or ["0"]
+            order[draw(st.integers(0, len(order) - 1))] = str(draw(st.integers(-5, -1)))
+        if fault == "mismatch":
+            order.append("0")
+        point_s = _with_bad_token(draw, point, BAD_INTS) if fault == "malformed" else ",".join(point)
+        argv += [f"--point={point_s}", f"--order={','.join(order)}"]
+        argv += draw(st.sampled_from(([], ["--star"], ["--method=closed_form_assembly"])))
+    elif command == "zeta":
+        args = [_complex_token(draw) for _ in range(depth)]
+        text = _with_bad_token(draw, args, BAD_COMPLEX) if fault == "malformed" else ",".join(args)
+        argv += [f"--args={text}"] + draw(st.sampled_from(([], ["--star"])))
+    elif command == "verify":
+        names = ("all", "limits-origin", "no-such-check", "ALL", "")
+        name = draw(st.sampled_from(names[2:] if fault == "identity" else names))
+        argv += [name]
+    else:
+        point = _int_list(draw, depth)
+        text = _with_bad_token(draw, point, BAD_INTS) if fault == "malformed" else ",".join(point)
+        degree = draw(st.integers(0, 8))
+        if fault == "degree":
+            degree = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=9)))
+        argv += [f"--point={text}"]
+        opts.setdefault("--degree", str(degree))
+    argv += [f"{k}={v}" for k, v in opts.items()]
+    argv += draw(st.sampled_from(([], ["--output=json"], ["--output=text"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=refused_command_lines())
+def test_fuzzed_refusals_exit_two_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, (argv, code, out.getvalue())
+    assert out.getvalue() == ""
+    assert err.getvalue().strip(), argv
+
+
+@st.composite
+def cheap_command_lines(draw):
+    """Shallow, low-digit requests: valid, polar, near-polar or refused."""
+    command = draw(st.sampled_from(("stieltjes", "zeta", "expand")))
+    argv = [command, f"--digits={draw(st.integers(1, 8))}"]
+    if command == "zeta":
+        args = [_complex_token(draw) for _ in range(draw(st.integers(0, 2)))]
+        argv += [f"--args={','.join(args)}"] + draw(st.sampled_from(([], ["--star"])))
+    elif command == "stieltjes":
+        point, order = _int_list(draw, 1), _int_list(draw, 1, -1, 2)
+        argv += [f"--point={point[0]}", f"--order={order[0]}"]
+        argv += draw(st.sampled_from(([], ["--star"], ["--method=closed_form_assembly"])))
+    else:
+        argv += [f"--point={_int_list(draw, 1)[0]}", f"--degree={draw(st.integers(-1, 2))}"]
+    return argv + draw(st.sampled_from(([], ["--output=json"])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=cheap_command_lines())
+def test_fuzzed_cheap_requests_exit_zero_to_four_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), (argv, code)
+    assert bool(out.getvalue()) == (code in (0, 1)), argv

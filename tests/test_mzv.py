@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from mpmath import mp
 
-from mzeta import mzv
+from mzeta import mzv, stieltjes
 from mzeta.config import to_mpc
 from mzeta.errors import PolarPointError, PoleProximityError, TailNotConvergingError
 from mzeta.exact import bernoulli, rising
@@ -470,3 +470,142 @@ class TestTailOracle:
             zeta_tail((1 + mp.mpf(10) ** -14, 2), 10, 4)
         with pytest.raises(PoleProximityError, match=r"1/\(s1\+s2\+2-2\) is singular"):
             zeta_tail((Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14), 10, 4)
+
+
+# -- reference: the level-by-level running sums -------------------------------
+#
+# The two loops that nested_sums replaced: each level tabulates its running
+# sums for every n below the top before the next level out reads them.  The
+# one-sweep kernel must return bit-identical sums at every top and for every
+# suffix.
+
+
+def _levelwise_log_sum(point, order, n_top, star=False):
+    r = len(point)
+    if r == 0:
+        return mp.one
+    logs = [mp.zero] * n_top
+    for n in range(2, n_top):
+        logs[n] = mp.ln(n)
+    prev = None
+    acc = mp.zero
+    for j in range(r - 1, -1, -1):
+        a, k = point[j], order[j]
+        acc = mp.zero
+        cum = [mp.zero] * n_top if j > 0 else None
+        for n in range(1, n_top):
+            w = mp.power(n, -a)
+            if k:
+                w *= logs[n] ** k
+            t = w * (prev[n] if prev is not None else mp.one)
+            if cum is not None:
+                if star:
+                    acc += t
+                    cum[n] = acc
+                else:
+                    cum[n] = acc
+                    acc += t
+            else:
+                acc += t
+        prev = cum
+    return acc
+
+
+def _levelwise_zeta_truncated(s, n_top, variant="strict"):
+    r = len(s)
+    if r == 0:
+        return mp.mpc(1)
+    star = variant == "star"
+    ss = [to_mpc(x) for x in s]
+    prev = None
+    acc = mp.mpc(0)
+    for j in range(r - 1, -1, -1):
+        acc = mp.mpc(0)
+        cum = [mp.mpc(0)] * n_top if j > 0 else None
+        for n in range(1, n_top):
+            t = mp.power(n, -ss[j])
+            if prev is not None:
+                t *= prev[n]
+            if cum is not None:
+                if star:
+                    acc += t
+                    cum[n] = acc
+                else:
+                    cum[n] = acc
+                    acc += t
+            else:
+                acc += t
+        prev = cum
+    return acc
+
+
+SUM_TOPS = (1, 2, 3, 17, 64, 65)
+
+
+def _random_tops(rng):
+    """One top, or several in any order, repeats allowed."""
+    if rng.random() < 0.5:
+        return (rng.choice(SUM_TOPS),)
+    return tuple(rng.choice(SUM_TOPS) for _ in range(rng.randint(2, 4)))
+
+
+def _random_exponent(rng):
+    pick = rng.random()
+    if pick < 0.35:
+        return rng.randint(-3, 4)
+    if pick < 0.55:
+        return Fraction(rng.randint(-7, 9), 2)
+    if pick < 0.7:
+        return Fraction(rng.uniform(-3.0, 4.0)).limit_denominator(1000)
+    return mp.mpc(rng.uniform(-3.0, 4.0), rng.uniform(-2.0, 2.0))
+
+
+class TestNestedSumOracle:
+    def test_real_sums_match_levelwise_recursion(self):
+        rng = random.Random(20190213)
+        for _ in range(600):
+            depth = rng.randint(1, 4)
+            point = tuple(rng.randint(-3, 4) for _ in range(depth))
+            order = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(depth))
+            tops, star = _random_tops(rng), rng.random() < 0.5
+            with mp.workdps(rng.choice((15, 27, 45, 60))):
+                at_tops, levels = mzv.nested_sums(point, tops, order, star)
+                for top, got in zip(tops, at_tops):
+                    want = _levelwise_log_sum(point, order, top, star)
+                    assert got._mpf_ == want._mpf_, (point, order, top, star)
+                for j, got in enumerate(levels):
+                    want = _levelwise_log_sum(point[j:], order[j:], max(tops), star)
+                    assert got._mpf_ == want._mpf_, (point, order, j, star)
+
+    def test_complex_sums_match_levelwise_recursion(self):
+        rng = random.Random(20190214)
+        for _ in range(300):
+            s = tuple(_random_exponent(rng) for _ in range(rng.randint(1, 4)))
+            tops, variant = _random_tops(rng), rng.choice(("strict", "star"))
+            with mp.workdps(rng.choice((15, 27, 45, 60))):
+                at_tops, levels = mzv.nested_sums(s, tops, star=variant == "star")
+                for top, got in zip(tops, at_tops):
+                    want = _levelwise_zeta_truncated(s, top, variant)
+                    assert got._mpc_ == want._mpc_, (s, top, variant)
+                for j, got in enumerate(levels):
+                    want = _levelwise_zeta_truncated(s[j:], max(tops), variant)
+                    assert got._mpc_ == want._mpc_, (s, j, variant)
+
+    def test_public_wrappers_are_one_sweep(self):
+        with mp.workdps(30):
+            point, order = (2, 0, -1), (1, 0, 2)
+            for star in (False, True):
+                got = stieltjes.truncated_log_sum(point, order, 40, star)
+                assert got._mpf_ == _levelwise_log_sum(point, order, 40, star)._mpf_
+            s = (Fraction(5, 2), mp.mpc(1, 2), 0)
+            for variant in ("strict", "star"):
+                got = zeta_truncated(s, 40, variant)
+                assert got._mpc_ == _levelwise_zeta_truncated(s, 40, variant)._mpc_
+
+    def test_tops_below_one_are_rejected(self):
+        with pytest.raises(ValueError):
+            mzv.nested_sums((2,), (5, 0))
+        with pytest.raises(ValueError):
+            stieltjes.truncated_log_sum((1,), (0,), 0)
+        with pytest.raises(ValueError):
+            zeta_truncated((2,), 0)

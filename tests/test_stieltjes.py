@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -281,6 +285,33 @@ class TestCaches:
         from_tuples = asymptotic_expansion((2, 1), (1, 0), 3)
         assert from_tuples is from_lists
         assert asymptotic_expansion.cache[((2, 1), (1, 0), 3, False)] is from_lists
+
+    def test_atoms_resolve_in_the_same_order_in_every_process(self):
+        # gs(3,1|1,0) resolves gs(1|0) at 32 digits on the way; resolved
+        # first, the deeper atom lets the 23-digit request for gs(1|0) reuse
+        # that value, whatever the string hashing of the process
+        script = (
+            "from mzeta import mzv\n"
+            "from mzeta.cli import main\n"
+            "sweeps = []\n"
+            "sweep = mzv.nested_sums\n"
+            "mzv.nested_sums = lambda *a, **k: sweeps.append(a) or sweep(*a, **k)\n"
+            "main(['stieltjes', '--point=0,3,1', '--order=0,1,0', '--digits=12', '--star'])\n"
+            "print('sweeps', len(sweeps))\n"
+        )
+        src = str(Path(stieltjes.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        assert lines[0] == "-2.23763729976" and lines[-1] == "sweeps 3"
 
     def test_atom_reuses_more_digits_and_recomputes_for_more(self):
         name = "g(3|1)"
