@@ -21,7 +21,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .exact import bernoulli, pochhammer, rising, stirling_first
-from .scale import Coeff, ScalePoly, ScaleSeries
+from .scale import Coeff, ScaleSeries
 
 __all__ = [
     "__version__",
@@ -30,6 +30,5 @@ __all__ = [
     "rising",
     "stirling_first",
     "Coeff",
-    "ScalePoly",
     "ScaleSeries",
 ]

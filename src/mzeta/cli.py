@@ -149,9 +149,7 @@ def _cmd_stieltjes(ns: argparse.Namespace) -> int:
         raise CliParseError(f"depth {len(point)} exceeds --depth-cap {ns.depth_cap}")
     if any(k < 0 for k in order):
         raise CliParseError("--order entries must be >= 0")
-    value = stieltjes.stieltjes_constant(
-        point, order, ns.digits, star=ns.star, method=ns.method, depth_cap=ns.depth_cap
-    )
+    value = stieltjes.stieltjes_constant(point, order, ns.digits, star=ns.star, method=ns.method)
     payload = {
         "point": list(point),
         "order": list(order),
@@ -231,9 +229,7 @@ def _cmd_expand(ns: argparse.Namespace) -> int:
         raise CliParseError("--degree must be in 0..8")
     if len(point) > ns.depth_cap:
         raise CliParseError(f"depth {len(point)} exceeds --depth-cap {ns.depth_cap}")
-    series = stieltjes.reg_series(
-        point, ns.degree, ns.digits, star=ns.star, depth_cap=ns.depth_cap
-    )
+    series = stieltjes.reg_series(point, ns.degree, ns.digits, star=ns.star)
     coeffs = {
         ",".join(map(str, ks)): _fmt(v, ns.digits)
         for ks, v in sorted(series.coefficients.items())

@@ -12,7 +12,6 @@ factor safely away from its pole.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log10, prod
@@ -502,6 +501,9 @@ def verify(
             raise ValueError(f"unknown identity: {name}")
     results: list[IdentityCheck] = []
     if jobs is not None and jobs > 1 and len(names) > 1:
+        # imported here: the pool costs every CLI start otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {name: pool.submit(run_identity, name, seed, digits) for name in names}
             for name in names:

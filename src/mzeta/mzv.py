@@ -374,17 +374,19 @@ def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
     with mp.workdps(working_dps(digits)):
         while True:
             try:
+                tails = [zeta_tail(s[:j], n_level - 1, k_order) for j in range(1, len(s) + 1)]
+            except TailNotConvergingError:
+                tails = None
+            # each estimate alone bounds err below: sweep only when all pass
+            if tails is not None and all(est < target for _, est in tails):
                 # the whole truncation and every suffix's, from one sweep
                 total, *suffixes = nested_sums(s, (n_level,))[1]
                 err = mp.zero
-                for j, suffix in enumerate(suffixes, start=1):
-                    tail, est = zeta_tail(s[:j], n_level - 1, k_order)
+                for (tail, est), suffix in zip(tails, suffixes):
                     total += tail * suffix
                     err += est * max(mp.one, abs(suffix))
                 if err < target:
                     return total, err
-            except TailNotConvergingError:
-                pass
             if n_level >= cap and k_order >= K_CAP:
                 raise PrecisionUnreachableError(
                     f"zeta value at {list(map(str, s))} did not reach "

@@ -29,11 +29,12 @@ from mpmath import mp
 from .config import max_n, memo
 from .errors import InsufficientPrecisionError
 from .exact import bernoulli_ratios
-from .scale import COEFF_ZERO, INF, Coeff, ScalePoly, ScaleSeries
+from .scale import COEFF_ZERO, INF, Cell, Coeff, ScaleSeries
 
 # A "cell map" represents a finite Q-combination sum c * (log t)^l t^-m
-# as {(m, l): c}; it is the working form for derivatives/antiderivatives.
-CellMap = dict[tuple[int, int], Fraction]
+# as {(m, l): c}, the cells of a ScaleSeries with rational coefficients; it
+# is the working form for derivatives/antiderivatives.
+CellMap = dict[Cell, Fraction]
 
 
 @dataclass(frozen=True)
@@ -95,20 +96,6 @@ def _antiderivative(l: int, m: int) -> CellMap:
     return out
 
 
-def _cells_to_series(cells: CellMap, precision: float) -> ScaleSeries:
-    polys: dict[int, list[Coeff]] = {}
-    for (m, l), c in cells.items():
-        if m > precision:
-            continue
-        row = polys.setdefault(m, [])
-        while len(row) <= l:
-            row.append(COEFF_ZERO)
-        row[l] = row[l] + Coeff.rational(c)
-    return ScaleSeries.make(
-        {m: ScalePoly.make(row) for m, row in polys.items()}, precision
-    )
-
-
 def em_slot_name(l: int, m: int) -> str:
     return f"em({l},{m})"
 
@@ -155,7 +142,10 @@ def sum_basis(term: BasisTerm, precision: int) -> SummationResult:
     elif terminated:
         exact = True
 
-    series = _cells_to_series(cells, INF if exact and precision >= 0 else precision)
+    series = ScaleSeries.make(
+        {k: Coeff.rational(c) for k, c in cells.items()},
+        INF if exact and precision >= 0 else precision,
+    )
     return SummationResult(series, em_slot_name(l, m), exact)
 
 
@@ -178,15 +168,12 @@ def sum_sequence(
     total = ScaleSeries.zero(INF)
     const = COEFF_ZERO
     bases_exact = True
-    for m, poly in v.terms:
-        for l, coeff in enumerate(poly.coeffs):
-            if coeff.is_zero:
-                continue
-            base = sum_basis(BasisTerm(l, m), precision)
-            total = total + base.divergent.scale(coeff)
-            if not base.exact:
-                bases_exact = False
-                const = const + coeff * Coeff.atom(base.constant_slot)
+    for (m, l), coeff in v.terms:
+        base = sum_basis(BasisTerm(l, m), precision)
+        total = total + base.divergent.scale(coeff)
+        if not base.exact:
+            bases_exact = False
+            const = const + coeff * Coeff.atom(base.constant_slot)
     if not const.is_zero:
         total = total + ScaleSeries.monomial(const, precision=INF)
     # an exact input leaves no unaccounted remainder: the slot exists only
@@ -196,9 +183,7 @@ def sum_sequence(
     if not exact:
         total = total.truncated(precision)
     if needs_slot and slot is None:
-        cells = ",".join(
-            f"{m}:{l}:{c}" for m, p in v.terms for l, c in enumerate(p.coeffs)
-        )
+        cells = ",".join(f"{m}:{l}:{c}" for (m, l), c in v.terms)
         digest = zlib.crc32(f"{cells}@{precision}".encode())
         slot = f"rem({digest:08x})"
     return SummationResult(total, slot if needs_slot else None, exact)
@@ -220,14 +205,11 @@ def schedule_n(digits: int) -> int:
 
 
 def abs_cell_magnitude(series: ScaleSeries, order: int, n: int) -> float:
-    poly = series.poly_at(order)
-    if poly.is_zero:
-        return 0.0
     log_n = math.log(n)
     mag = 0.0
-    for l, c in enumerate(poly.coeffs):
-        weight = sum(abs(float(q)) for _, q in c.terms)
-        mag += weight * log_n**l
+    for (m, l), c in series.terms:  # sorted: the float sum runs in ascending l
+        if m == order:
+            mag += sum(abs(float(q)) for _, q in c.terms) * log_n**l
     return mag * float(n) ** (-order)
 
 

@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import ConstantNotDeterminedError, UnresolvedConstantError
 
 Rational = Union[int, Fraction]
 Monomial = tuple[str, ...]
+Cell = tuple[int, int]  # (m, l): the scale element L**l X**m
 
 INF = math.inf
 
@@ -132,84 +133,20 @@ COEFF_ONE = Coeff.rational(1)
 
 
 @dataclass(frozen=True)
-class ScalePoly:
-    """Dense polynomial in L with :class:`Coeff` coefficients.
+class ScaleSeries:
+    """Truncated element of Q[atoms][L]((X)); see module docstring.
 
-    Trailing zero coefficients are stripped; the zero polynomial has the
-    sentinel degree -1.
+    ``terms`` holds the nonzero cells ``((m, l), c)``, standing for
+    c * L**l * X**m, sorted by (m, l).
     """
 
-    coeffs: tuple[Coeff, ...]
-
-    @staticmethod
-    def make(coeffs: Iterable[Coeff]) -> "ScalePoly":
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        return ScalePoly(tuple(cs))
-
-    @staticmethod
-    def rational(*values: Rational) -> "ScalePoly":
-        return ScalePoly.make([Coeff.rational(v) for v in values])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, l: int) -> Coeff:
-        if 0 <= l < len(self.coeffs):
-            return self.coeffs[l]
-        return COEFF_ZERO
-
-    def __add__(self, other: "ScalePoly") -> "ScalePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ScalePoly.make([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __neg__(self) -> "ScalePoly":
-        return ScalePoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "ScalePoly") -> "ScalePoly":
-        if self.is_zero or other.is_zero:
-            return ScalePoly(())
-        out = [COEFF_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ScalePoly.make(out)
-
-    def scale(self, c: Coeff) -> "ScalePoly":
-        return ScalePoly.make([a * c for a in self.coeffs])
-
-    def shift_l(self, l: int) -> "ScalePoly":
-        if self.is_zero or l == 0:
-            return self
-        return ScalePoly((COEFF_ZERO,) * l + self.coeffs)
-
-    def evaluate(self, lval, values: Mapping[str, object] | None = None):
-        """Horner evaluation at L = lval, resolving atom coefficients."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * lval + c.resolve(values)
-        return acc
-
-
-@dataclass(frozen=True)
-class ScaleSeries:
-    """Truncated element of Q[atoms][L]((X)); see module docstring."""
-
-    terms: tuple[tuple[int, ScalePoly], ...]
+    terms: tuple[tuple[Cell, Coeff], ...]
     precision: float  # int precision, or math.inf for exact series
 
     @staticmethod
-    def make(cells: Mapping[int, ScalePoly], precision: float = INF) -> "ScaleSeries":
-        kept = {m: p for m, p in cells.items() if not p.is_zero and m <= precision}
-        return ScaleSeries(tuple(sorted(kept.items())), precision)
+    def make(cells: Mapping[Cell, Coeff], precision: float = INF) -> "ScaleSeries":
+        kept = [(k, c) for k, c in cells.items() if not c.is_zero and k[0] <= precision]
+        return ScaleSeries(tuple(sorted(kept)), precision)
 
     @staticmethod
     def zero(precision: float = INF) -> "ScaleSeries":
@@ -221,26 +158,19 @@ class ScaleSeries:
 
     @staticmethod
     def monomial(c: Coeff, l: int = 0, m: int = 0, precision: float = INF) -> "ScaleSeries":
-        poly = ScalePoly.make([COEFF_ZERO] * l + [c])
-        return ScaleSeries.make({m: poly}, precision)
+        return ScaleSeries.make({(m, l): c}, precision)
 
     # -- queries ---------------------------------------------------------
 
     def cell(self, m: int, l: int) -> Coeff:
-        for mm, poly in self.terms:
-            if mm == m:
-                return poly.coeff(l)
+        for key, c in self.terms:
+            if key == (m, l):
+                return c
         return COEFF_ZERO
-
-    def poly_at(self, m: int) -> ScalePoly:
-        for mm, poly in self.terms:
-            if mm == m:
-                return poly
-        return ScalePoly(())
 
     def order(self) -> float:
         """Smallest exponent with a nonzero coefficient; inf for zero."""
-        return self.terms[0][0] if self.terms else INF
+        return self.terms[0][0][0] if self.terms else INF
 
     @property
     def is_zero(self) -> bool:
@@ -248,9 +178,8 @@ class ScaleSeries:
 
     def atoms(self) -> set[str]:
         out: set[str] = set()
-        for _, poly in self.terms:
-            for c in poly.coeffs:
-                out |= c.atoms()
+        for _, c in self.terms:
+            out |= c.atoms()
         return out
 
     def constant_term(self, values: Mapping[str, object] | None = None):
@@ -260,17 +189,26 @@ class ScaleSeries:
             )
         return self.cell(0, 0).resolve(values)
 
+    def _rows(self) -> dict[int, list[Coeff]]:
+        """Dense L-polynomial of each exponent m, lowest m first."""
+        rows: dict[int, list[Coeff]] = {}
+        for (m, l), c in self.terms:
+            row = rows.setdefault(m, [])
+            row.extend([COEFF_ZERO] * (l - len(row)))
+            row.append(c)
+        return rows
+
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "ScaleSeries") -> "ScaleSeries":
         prec = min(self.precision, other.precision)
-        cells: dict[int, ScalePoly] = dict(self.terms)
-        for m, poly in other.terms:
-            cells[m] = cells[m] + poly if m in cells else poly
+        cells = dict(self.terms)
+        for k, c in other.terms:
+            cells[k] = cells[k] + c if k in cells else c
         return ScaleSeries.make(cells, prec)
 
     def __neg__(self) -> "ScaleSeries":
-        return ScaleSeries(tuple((m, -p) for m, p in self.terms), self.precision)
+        return ScaleSeries(tuple((k, -c) for k, c in self.terms), self.precision)
 
     def __sub__(self, other: "ScaleSeries") -> "ScaleSeries":
         return self + (-other)
@@ -285,24 +223,24 @@ class ScaleSeries:
         if not other.is_zero:
             bounds.append(other.order() + self.precision)
         prec = min(bounds)
-        cells: dict[int, ScalePoly] = {}
-        for m1, p1 in self.terms:
-            for m2, p2 in other.terms:
-                m = m1 + m2
-                if m > prec:
+        cells: dict[Cell, Coeff] = {}
+        for (m1, l1), c1 in self.terms:
+            for (m2, l2), c2 in other.terms:
+                if m1 + m2 > prec:
                     continue
-                prod = p1 * p2
-                cells[m] = cells[m] + prod if m in cells else prod
+                k = (m1 + m2, l1 + l2)
+                prod = c1 * c2
+                cells[k] = cells[k] + prod if k in cells else prod
         return ScaleSeries.make(cells, prec)
 
     def scale(self, c: Coeff) -> "ScaleSeries":
-        return ScaleSeries.make({m: p.scale(c) for m, p in self.terms}, self.precision)
+        return ScaleSeries.make({k: a * c for k, a in self.terms}, self.precision)
 
     def shift(self, l: int, m: int) -> "ScaleSeries":
         """Multiply by the exact monomial L**l X**m."""
         prec = self.precision if self.precision == INF else self.precision + m
         return ScaleSeries(
-            tuple((mm + m, poly.shift_l(l)) for mm, poly in self.terms), prec
+            tuple(((mm + m, ll + l), c) for (mm, ll), c in self.terms), prec
         )
 
     def truncated(self, precision: float) -> "ScaleSeries":
@@ -312,11 +250,8 @@ class ScaleSeries:
 
     def with_constant_cell(self, c: Coeff) -> "ScaleSeries":
         """Replace the L^0 X^0 coefficient by ``c``."""
-        poly = self.poly_at(0)
-        coeffs = list(poly.coeffs) or [COEFF_ZERO]
-        coeffs[0] = c
         cells = dict(self.terms)
-        cells[0] = ScalePoly.make(coeffs)
+        cells[(0, 0)] = c
         return ScaleSeries.make(cells, self.precision)
 
     def drop_constant_cell(self) -> "ScaleSeries":
@@ -325,12 +260,19 @@ class ScaleSeries:
     # -- evaluation and serialization -------------------------------------
 
     def evaluate(self, n, log_n=None, values: Mapping[str, object] | None = None):
-        """Numeric sum of all known cells at N = n (L = log n)."""
+        """Numeric sum of all known cells at N = n (L = log n).
+
+        Horner in L over each dense row, zero coefficients included, so the
+        rounding is that of the dense polynomial.
+        """
         if log_n is None:
             log_n = math.log(n)
         total = 0
-        for m, poly in self.terms:
-            total = total + poly.evaluate(log_n, values) * n ** (-m)
+        for m, row in self._rows().items():
+            acc = 0
+            for c in reversed(row):
+                acc = acc * log_n + c.resolve(values)
+            total = total + acc * n ** (-m)
         return total
 
     def to_json_dict(self) -> dict:
@@ -340,9 +282,9 @@ class ScaleSeries:
             return {("*".join(m) or "1"): str(q) for m, q in c.terms}
 
         return {
-            "min_order": None if self.is_zero else self.terms[0][0],
+            "min_order": None if self.is_zero else self.order(),
             "precision": None if self.precision == INF else int(self.precision),
-            "terms": {str(m): [enc(c) for c in poly.coeffs] for m, poly in self.terms},
+            "terms": {str(m): [enc(c) for c in row] for m, row in self._rows().items()},
         }
 
     @staticmethod
@@ -358,8 +300,9 @@ class ScaleSeries:
 
         prec = data.get("precision")
         cells = {
-            int(m): ScalePoly.make([dec(c) for c in coeffs])
+            (int(m), l): dec(c)
             for m, coeffs in data["terms"].items()
+            for l, c in enumerate(coeffs)
         }
         return ScaleSeries.make(cells, INF if prec is None else prec)
 
@@ -367,15 +310,12 @@ class ScaleSeries:
         if not self.terms:
             return f"0 (+O(X^{self.precision}))"
         bits = []
-        for m, poly in self.terms:
-            for l, c in enumerate(poly.coeffs):
-                if c.is_zero:
-                    continue
-                mono = []
-                if l:
-                    mono.append(f"L^{l}" if l > 1 else "L")
-                if m:
-                    mono.append(f"X^{m}" if m != 1 else "X")
-                head = "*".join(mono) or "1"
-                bits.append(f"({c})*{head}")
+        for (m, l), c in self.terms:
+            mono = []
+            if l:
+                mono.append(f"L^{l}" if l > 1 else "L")
+            if m:
+                mono.append(f"X^{m}" if m != 1 else "X")
+            head = "*".join(mono) or "1"
+            bits.append(f"({c})*{head}")
         return " + ".join(bits) + f" + O(X^{self.precision})"

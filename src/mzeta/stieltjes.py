@@ -45,9 +45,6 @@ from .scale import Coeff, ScaleSeries
 IntPoint = tuple[int, ...]
 OrderIndex = tuple[int, ...]
 
-DEFAULT_DEPTH_CAP = 4
-DEFAULT_DEGREE_CAP = 8
-
 
 def as_point(coords: Iterable[int]) -> IntPoint:
     pt = tuple(int(c) for c in coords)
@@ -237,7 +234,7 @@ def _constant_by_extrapolation(
             extra = 0.0
             if series.terms:
                 extra = max(0.0, -series.order() * math.log10(n_top))
-                max_deg = max(p.degree for _, p in series.terms)
+                max_deg = max(l for (_, l), _ in series.terms)
                 extra += max(0.0, max_deg * math.log10(math.log(n_top)))
             dps = digits + 15 + int(extra)
             values = _resolve_series_atoms(series, digits + 8 + int(extra))
@@ -261,7 +258,7 @@ def _constant_by_extrapolation(
 
 
 def _first_small_cutoff(series: ScaleSeries, n_top: int, target: float) -> int | None:
-    orders = [q for q, _ in series.terms if q >= 1]
+    orders = sorted({q for (q, _), _ in series.terms if q >= 1})
     cutoff = 0
     for q in orders:
         if abs_cell_magnitude(series, q, n_top) < target:
@@ -289,7 +286,6 @@ def stieltjes_constant(
     digits: int = 12,
     star: bool = False,
     method: str = "extrapolation",
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> StieltjesValue:
     """The multiple Stieltjes constant of the given order at an integer point.
 
@@ -301,8 +297,6 @@ def stieltjes_constant(
     an internal assumption.
     """
     point, order = _point_order(point, order)
-    if len(point) > depth_cap:
-        raise ValueError(f"depth {len(point)} exceeds depth cap {depth_cap}")
     if method == "extrapolation":
         value, err = _constant_by_extrapolation(point, order, star, digits)
     elif method == "closed_form_assembly":
@@ -400,36 +394,16 @@ class EvalResult:
     remainder_estimate: mpmath.mpf
 
 
-def _reg_series_key(
-    center,
-    degree,
-    digits=12,
-    star=False,
-    depth_cap=DEFAULT_DEPTH_CAP,
-    degree_cap=DEFAULT_DEGREE_CAP,
-):
-    # the caps decide whether a call raises, so a cached series must not
-    # answer a call under other caps
-    return as_point(center), degree, digits, star, depth_cap, degree_cap
-
-
-@memo(key=_reg_series_key)
+@memo(key=lambda center, degree, digits=12, star=False: (as_point(center), degree, digits, star))
 def reg_series(
-    center: Sequence[int],
-    degree: int,
-    digits: int = 12,
-    star: bool = False,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
+    center: Sequence[int], degree: int, digits: int = 12, star: bool = False
 ) -> RegSeries:
     center = as_point(center)
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if degree > degree_cap:
-        raise ValueError(f"degree {degree} exceeds degree cap {degree_cap}")
     coeffs: dict[OrderIndex, mpmath.mpf] = {}
     for ks in iter_orders(len(center), degree):
-        gamma = stieltjes_constant(center, ks, digits, star, depth_cap=depth_cap)
+        gamma = stieltjes_constant(center, ks, digits, star)
         weight = Fraction((-1) ** sum(ks), math.prod(factorial(k) for k in ks))
         coeffs[ks] = mp.mpf(weight.numerator) / weight.denominator * gamma.value
     return RegSeries(center, degree, star, digits, coeffs)

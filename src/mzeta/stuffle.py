@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .config import memo
@@ -250,41 +250,19 @@ class RatFunc:
 # -- order-polytope integrals over zigzag regions ------------------------------
 
 
-def _zigzag_extensions(positions: list[int], descents: dict[int, bool]) -> Iterator[list[int]]:
-    """Linear extensions (largest t first) of the zigzag constraints.
+def _zigzag_extensions(
+    positions: list[int], descents: dict[int, bool]
+) -> Iterator[tuple[int, ...]]:
+    """Linear extensions (largest t first) of the zigzag constraints, in
+    lexicographic order of the (ascending) ``positions``.
 
     ``descents[m]`` True means t_m > t_{m+1}; False means t_m < t_{m+1};
     constraints exist only between consecutive positions.
     """
-    n = len(positions)
-    greater: dict[int, set[int]] = {pos: set() for pos in positions}  # pos -> smaller
-    for m in descents:
-        if descents[m]:
-            greater[m].add(m + 1)
-        else:
-            greater[m + 1].add(m)
-    indeg = {pos: 0 for pos in positions}
-    for pos, smaller in greater.items():
-        for s in smaller:
-            indeg[s] += 1
-
-    chosen: list[int] = []
-
-    def rec() -> Iterator[list[int]]:
-        if len(chosen) == n:
-            yield list(chosen)
-            return
-        for pos in positions:
-            if indeg[pos] == 0 and pos not in chosen:
-                chosen.append(pos)
-                for s in greater[pos]:
-                    indeg[s] -= 1
-                yield from rec()
-                for s in greater[pos]:
-                    indeg[s] += 1
-                chosen.pop()
-
-    yield from rec()
+    for ext in permutations(positions):
+        rank = {pos: k for k, pos in enumerate(ext)}
+        if all((rank[m] < rank[m + 1]) == down for m, down in descents.items()):
+            yield ext
 
 
 @memo(key=lambda I, i, j, nvars=None: (tuple(sorted(set(I))), i, j, j if nvars is None else nvars))

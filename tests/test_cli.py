@@ -1,18 +1,34 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mzeta
 from mzeta.cli import main
 from mzeta.mzv import DEPTH_CAP
+
+SRC = str(Path(mzeta.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args, timeout):
+    """A fresh interpreter with this checkout's package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 class TestStieltjesCommand:
@@ -123,6 +139,15 @@ class TestZetaCommand:
         assert code == 2
         assert err == f"error: --depth-cap must be in 0..{DEPTH_CAP}\n"
 
+    @pytest.mark.parametrize("arg", ["99999999999999999999", "-99999999999"])
+    def test_huge_exponent_fails_fast(self, arg):
+        # no N reaches the target: every tail estimate stays above it, so
+        # the schedule runs to its caps without a single nested-sum sweep
+        proc = run_python(["-m", "mzeta.cli", "zeta", f"--args={arg}", "--digits=5"], timeout=30)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: zeta value at")
+
     def test_pole_proximity_names_the_factor(self, capsys):
         # not on the polar set (the exact check passes), but 1e-17 from it
         code, _, err = run_cli(capsys, "zeta", "--args=1.00000000000000001,2")
@@ -219,6 +244,14 @@ class TestExpandCommand:
     def test_degree_cap(self, capsys):
         code, _, _ = run_cli(capsys, "expand", "--point", "1", "--degree", "9")
         assert code == 2
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only a parallel verify run needs concurrent.futures
+    script = "import sys, mzeta.cli; print('concurrent.futures' in sys.modules)"
+    proc = run_python(["-c", script], timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
 
 
 def test_version_flag(capsys):

@@ -47,7 +47,7 @@ class TestSumBasis:
         # at the boundary weight m=1 the divergent part is a pure L-polynomial
         for l in range(4):
             res = sum_basis(BasisTerm(l, 1), 0)
-            assert all(m == 0 for m, _ in res.divergent.terms)
+            assert all(m == 0 for (m, _), _ in res.divergent.terms)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_faulhaber_exactness(self, p):
@@ -99,12 +99,11 @@ class TestSumSequence:
             cells = {}
             for _ in range(rng.randint(1, 3)):
                 m = rng.randint(-3, 4)
-                cells[m] = ScaleSeries.monomial(
+                cells[m] = (
                     Coeff.rational(FR(rng.randint(-5, 5), rng.randint(1, 3))),
-                    l=rng.randint(0, 2),
-                    m=m,
-                ).poly_at(m)
-            v = ScaleSeries.make({m: p for m, p in cells.items() if not p.is_zero}, INF)
+                    rng.randint(0, 2),
+                )
+            v = ScaleSeries.make({(m, l): c for m, (c, l) in cells.items()}, INF)
             if v.is_zero:
                 continue
             res = sum_sequence(v, 2)

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from mzeta.errors import ConstantNotDeterminedError, UnresolvedConstantError
-from mzeta.scale import INF, Coeff, ScalePoly, ScaleSeries
+from mzeta.scale import INF, Coeff, ScaleSeries
 
 
 def mono(q, l=0, m=0, precision=INF):
@@ -14,14 +14,14 @@ def mono(q, l=0, m=0, precision=INF):
 
 
 def random_series(rng, precision=6, max_abs_m=4, max_deg=3):
-    cells = {}
+    rows = {}
     for _ in range(rng.randint(1, 4)):
         m = rng.randint(-max_abs_m, max_abs_m)
-        coeffs = [
+        rows[m] = [
             Coeff.rational(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
             for _ in range(rng.randint(1, max_deg + 1))
         ]
-        cells[m] = ScalePoly.make(coeffs)
+    cells = {(m, l): c for m, row in rows.items() for l, c in enumerate(row)}
     return ScaleSeries.make(cells, precision)
 
 
@@ -47,7 +47,7 @@ class TestOperations:
         assert h.cell(0, 1) == Coeff.rational(3)
 
     def test_mul_exponents_add(self):
-        assert (mono(1, m=-1) * mono(1, m=2)).poly_at(1).coeff(0) == Coeff.rational(1)
+        assert (mono(1, m=-1) * mono(1, m=2)).cell(1, 0) == Coeff.rational(1)
 
     def test_mul_log_powers_add(self):
         h = mono(1, l=1) * mono(1, l=1)
@@ -118,10 +118,9 @@ def test_float_evaluation_matches_termwise():
             direct = f.evaluate(float(n))
             termwise = 0.0
             count = 0
-            for m, poly in f.terms:
-                for l, c in enumerate(poly.coeffs):
-                    termwise += float(c.rational_part()) * math.log(n) ** l * n ** (-m)
-                    count += 1
+            for (m, l), c in f.terms:
+                termwise += float(c.rational_part()) * math.log(n) ** l * n ** (-m)
+                count += 1
             scale = max(abs(termwise), 1.0)
             assert abs(direct - termwise) <= scale * count * 1e-12
 
@@ -137,6 +136,15 @@ def test_json_round_trip():
     assert back.precision == 4
 
 
+def test_json_rows_are_dense_in_l():
+    f = mono(1) + mono(2, l=2)
+    data = f.to_json_dict()
+    assert data["terms"] == {"0": ["1", "0", "2"]}
+    back = ScaleSeries.from_json_dict(data)
+    assert back.terms == f.terms
+    assert back.to_json_dict() == data
+
+
 def test_json_schema_of_plain_series():
     f = mono(Fraction(1, 2), m=-2) - mono(Fraction(1, 2), m=-1)
     data = f.to_json_dict()
@@ -145,6 +153,20 @@ def test_json_schema_of_plain_series():
         "precision": None,
         "terms": {"-2": ["1/2"], "-1": ["-1/2"]},
     }
+
+
+def test_evaluate_runs_dense_horner_in_l():
+    # the zero L^1 coefficient takes part: a sparse Horner rounds otherwise
+    c0, c2, m = Fraction(1, 3), Fraction(-5, 7), 2
+    f = mono(c0, m=m) + mono(c2, l=2, m=m)
+    with mp.workdps(30):
+        n = mp.mpf(17)
+        log_n = mp.ln(n)
+        got = f.evaluate(n, log_n=log_n)
+        dense = ((c2 * log_n + 0) * log_n + c0) * n**-m
+        sparse = (c2 * log_n**2 + c0) * n**-m
+    assert got._mpf_ == dense._mpf_
+    assert sparse._mpf_ != dense._mpf_
 
 
 def test_high_precision_evaluate_uses_mpf():

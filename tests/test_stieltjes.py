@@ -89,7 +89,7 @@ class TestAsymptoticExpansion:
 
     def test_convergent_point_is_constant_only(self):
         e = asymptotic_expansion((2,), (0,), 0)
-        assert [m for m, _ in e.terms] == [0]
+        assert {m for (m, _), _ in e.terms} == {0}
         assert e.cell(0, 0) == Coeff.atom(gamma_atom((2,), (0,)))
 
     def test_exact_counting_expansion(self):
@@ -97,8 +97,7 @@ class TestAsymptoticExpansion:
         e = asymptotic_expansion((0, 0), (0, 0), 1)
         vals = {gamma_atom((0,), (0,)): Fraction(-1)}
         assert e.cell(-2, 0) == Coeff.rational(Fraction(1, 2))
-        poly = e.poly_at(-1)
-        assert poly.coeff(0).resolve(vals) == Fraction(-3, 2)
+        assert e.cell(-1, 0).resolve(vals) == Fraction(-3, 2)
 
     def test_boundary_points_have_nonnegative_order(self):
         for depth in (1, 2, 3):
@@ -142,10 +141,6 @@ class TestStieltjesConstant:
     def test_depth_zero_convention(self):
         v = stieltjes_constant((), (), 10)
         assert v.value == 1
-
-    def test_depth_cap(self):
-        with pytest.raises(ValueError):
-            stieltjes_constant((1,) * 5, (0,) * 5, 8)
 
     def test_points_deeper_than_the_cap_are_rejected(self):
         assert as_point([1] * DEPTH_CAP) == (1,) * DEPTH_CAP
@@ -248,7 +243,7 @@ class TestRegSeries:
 
     def test_eval_near_center_matches_continuation(self):
         # zeta(1.1) - 1/(s-1), high-degree series
-        series = reg_series((1,), 12, 14, degree_cap=12)
+        series = reg_series((1,), 12, 14)
         got = eval_reg(series, (mp.mpf("1.1"),)).value
         with mp.workdps(30):
             expect = mp.zeta(mp.mpf("1.1")) - 10
@@ -275,11 +270,6 @@ class TestRegSeries:
 
 
 class TestCaches:
-    def test_cached_reg_series_still_checks_the_depth_cap(self):
-        reg_series((2, 1), 0, 10)
-        with pytest.raises(ValueError, match="depth 2 exceeds depth cap 1"):
-            reg_series((2, 1), 0, 10, depth_cap=1)
-
     def test_list_and_tuple_arguments_share_one_expansion(self):
         from_lists = asymptotic_expansion([2, 1], [1, 0], 3)
         from_tuples = asymptotic_expansion((2, 1), (1, 0), 3)

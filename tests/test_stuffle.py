@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from mzeta.stieltjes import in_closure
 from mzeta.stuffle import (
     RatFunc,
     Stuffling,
+    _zigzag_extensions,
     b_rational,
     deduce_sequence,
     enumerate_stufflings,
@@ -195,6 +196,73 @@ class TestZigzagIntegrals:
             sigma = vals.std(ddof=1) / n_samples**0.5
             exact = float(b_rational(iset, 0, j).evaluate(tuple(FR(e).limit_denominator() for e in exps)))
             assert abs(estimate - exact) < 3 * sigma + 1e-9
+
+
+def _dfs_zigzag_extensions(positions, descents):
+    # reference: depth-first search over the constraint graph, smallest
+    # available position first
+    greater = {pos: set() for pos in positions}  # pos -> smaller
+    for m, down in descents.items():
+        if down:
+            greater[m].add(m + 1)
+        else:
+            greater[m + 1].add(m)
+    indeg = {pos: 0 for pos in positions}
+    for smaller in greater.values():
+        for s in smaller:
+            indeg[s] += 1
+    chosen = []
+
+    def rec():
+        if len(chosen) == len(positions):
+            yield tuple(chosen)
+            return
+        for pos in positions:
+            if indeg[pos] == 0 and pos not in chosen:
+                chosen.append(pos)
+                for s in greater[pos]:
+                    indeg[s] -= 1
+                yield from rec()
+                for s in greater[pos]:
+                    indeg[s] += 1
+                chosen.pop()
+
+    yield from rec()
+
+
+def _zigzag_cases(max_j):
+    """Every (I, i, j) with i < j <= max_j; only I's interior part matters."""
+    for j in range(1, max_j + 1):
+        for i in range(j):
+            interior = range(i + 1, j)
+            for size in range(len(interior) + 1):
+                for iset in combinations(interior, size):
+                    yield (0, *iset), i, j
+
+
+class TestZigzagExtensionOracle:
+    def test_extensions_match_the_depth_first_search(self):
+        count = 0
+        for I, i, j in _zigzag_cases(7):
+            positions = list(range(i + 1, j + 1))
+            descents = {m: (m not in I) for m in range(i + 1, j)}
+            expect = list(_dfs_zigzag_extensions(positions, descents))
+            assert list(_zigzag_extensions(positions, descents)) == expect
+            count += 1
+        assert count == sum(2**j - 1 for j in range(1, 8))
+
+    def test_b_rational_terms_match_the_depth_first_search(self):
+        for I, i, j in _zigzag_cases(6):
+            positions = list(range(i + 1, j + 1))
+            descents = {m: (m not in I) for m in range(i + 1, j)}
+            total = RatFunc.zero(j)
+            for ext in _dfs_zigzag_extensions(positions, descents):
+                forms, acc = [], [0] * j
+                for pos in reversed(ext):
+                    acc[pos - 1] += 1
+                    forms.append(tuple(acc))
+                total = total + RatFunc.reciprocal_chain(forms, j)
+            assert b_rational(I, i, j).terms == total.terms
 
 
 class TestShuffleIdentity:
