@@ -4,8 +4,8 @@ Library layout:
 
 - :mod:`mzeta.exact` -- exact rational arithmetic, Bernoulli/Stirling tables,
   Pochhammer polynomials.
-- :mod:`mzeta.scale` -- truncated Laurent series over Q[L] with tagged
-  transcendental constants.
+- :mod:`mzeta.scale` -- truncated Laurent series in 1/N and log N whose
+  coefficients are linear in tagged transcendental constants.
 - :mod:`mzeta.partial_sums` -- Euler-Maclaurin summation of scale sequences.
 - :mod:`mzeta.stieltjes` -- multiple Stieltjes constants and regularised
   power series around integer points.

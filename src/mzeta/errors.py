@@ -7,10 +7,6 @@ class MzetaError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConstantNotDeterminedError(MzetaError):
-    """The constant term is outside the known precision of a series."""
-
-
 class UnresolvedConstantError(MzetaError):
     """A symbolic constant slot was used where a number was required."""
 

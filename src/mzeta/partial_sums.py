@@ -2,24 +2,23 @@
 
 Given the expansion of a sequence (v_n), the partial sums u_N = sum_{n<N} v_n
 again have an expansion relative to the scale {(log n)^l n^-m}.  This module
-produces that expansion exactly: the antiderivative and the Bernoulli
+produces its divergent part exactly: the antiderivative and the Bernoulli
 correction terms of (log t)^l t^-m are finite Q-linear combinations of basis
-functions, computed symbolically, while the regularised constant (the limit
-of u_N minus the divergent part) is kept as a named slot.
+functions, computed symbolically.  The regularised constant (the limit of
+u_N minus the divergent part) is not part of the result: the caller names it,
+as :func:`mzeta.stieltjes.asymptotic_expansion` does with its ``g(..)`` atom.
 
-Slot naming: the constant attached to the basis pair (l, m) is "em(l,m)", so
-identical slots unify across series.  This module does not resolve slots
-numerically: :func:`mzeta.stieltjes.resolve_atom` does, as the depth-1
-constant g(m|l) less the rational constant cell of :func:`sum_basis`.  Known
-closed forms (Euler's gamma for em(0,1), log(2 pi)/2 for em(1,0), zeta values
-and derivatives elsewhere) are available as metadata through
-:func:`known_closed_form`; they are never substituted silently.
+For the basis sum itself that constant is the depth-1 constant g(m|l) less
+the rational constant cell of :func:`sum_basis`.  Its closed form (Euler's
+gamma for (l, m) = (0, 1), log(2 pi)/2 for (1, 0), zeta values and
+derivatives elsewhere) is available as metadata through
+:func:`known_closed_form`, keyed by :func:`em_slot_name`; it is never
+substituted silently.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from mpmath import mp
 from .config import max_n, memo
 from .errors import InsufficientPrecisionError
 from .exact import bernoulli_ratios
-from .scale import COEFF_ZERO, INF, Cell, Coeff, ScaleSeries
+from .scale import INF, Cell, Coeff, ScaleSeries
 
 # A "cell map" represents a finite Q-combination sum c * (log t)^l t^-m
 # as {(m, l): c}, the cells of a ScaleSeries with rational coefficients; it
@@ -47,28 +46,6 @@ class BasisTerm:
     def __post_init__(self) -> None:
         if self.l < 0:
             raise ValueError("log power must be >= 0")
-
-
-@dataclass(frozen=True)
-class SummationResult:
-    """Expansion of a partial-sum sequence: exact divergent part plus slot.
-
-    ``divergent`` holds every formally known cell, including rational (and
-    resolvable-atom) content in the constant cell; ``constant_slot`` names
-    the remaining limit constant.  ``exact`` marks results whose slot is
-    provably zero (the partial sums equal the divergent part identically).
-    """
-
-    divergent: ScaleSeries
-    constant_slot: str | None
-    exact: bool
-
-    def constant_coeff(self) -> Coeff:
-        """Formal constant: known cell content plus the slot atom."""
-        c = self.divergent.cell(0, 0)
-        if self.constant_slot is not None and not self.exact:
-            c = c + Coeff.atom(self.constant_slot)
-        return c
 
 
 def _derivative(cells: CellMap) -> CellMap:
@@ -96,18 +73,14 @@ def _antiderivative(l: int, m: int) -> CellMap:
     return out
 
 
-def em_slot_name(l: int, m: int) -> str:
-    return f"em({l},{m})"
-
-
 @memo(key=lambda term, precision: (term.l, term.m, precision))
-def sum_basis(term: BasisTerm, precision: int) -> SummationResult:
-    """Expansion of sum_{1<=n<N} (log n)^l n^-m to X-precision ``precision``.
+def sum_basis(term: BasisTerm, precision: int) -> ScaleSeries:
+    """Divergent part of sum_{1<=n<N} (log n)^l n^-m to X-precision ``precision``.
 
-    Divergent part: antiderivative - f/2 + sum_j B_2j/(2j)! f^(2j-1),
-    truncated at the requested order.  For l = 0, m <= 0 the sum is an exact
-    polynomial in N; its full rational constant is folded into the divergent
-    part and the slot is exactly zero.
+    Antiderivative - f/2 + sum_j B_2j/(2j)! f^(2j-1), truncated at the
+    requested order.  For l = 0, m <= 0 the sum is an exact polynomial in N:
+    its full rational constant is folded in, and for ``precision >= 0`` the
+    series is exact (precision inf), equal to the partial sums for every N.
     """
     l, m = term.l, term.m
     f: CellMap = {(m, l): Fraction(1)}
@@ -130,7 +103,7 @@ def sum_basis(term: BasisTerm, precision: int) -> SummationResult:
         h = _derivative(_derivative(h))
         j += 1
 
-    exact = False
+    exact = terminated
     if l == 0 and m <= 0:
         # The sum is a polynomial in N; pin the constant so that
         # divergent(N) == u_N exactly.  At N = 1 the empty sum is 0 and
@@ -139,64 +112,38 @@ def sum_basis(term: BasisTerm, precision: int) -> SummationResult:
         if adjust:
             cells[(0, 0)] = cells.get((0, 0), Fraction(0)) + adjust
         exact = True
-    elif terminated:
-        exact = True
 
-    series = ScaleSeries.make(
+    return ScaleSeries.make(
         {k: Coeff.rational(c) for k, c in cells.items()},
         INF if exact and precision >= 0 else precision,
     )
-    return SummationResult(series, em_slot_name(l, m), exact)
 
 
-def sum_sequence(
-    v: ScaleSeries, precision: int, slot: str | None = None
-) -> SummationResult:
-    """Expansion of the partial sums of a sequence with expansion ``v``.
+def sum_sequence(v: ScaleSeries, precision: int) -> ScaleSeries:
+    """Divergent part of the partial sums of a sequence with expansion ``v``.
 
-    Linear extension of :func:`sum_basis` over every known cell of ``v``;
-    the slot of each basis sum enters the constant cell weighted by the
-    cell coefficient.  The input must be known at least to X-precision
-    ``precision + 1``; whatever ``v`` leaves unaccounted sums to a
-    convergent contribution, named by the result's own ``constant_slot``.
+    Linear extension of :func:`sum_basis` over every known cell of ``v``, so
+    the constant cell holds only the basis sums' rational constants.  The
+    input must be known at least to X-precision ``precision + 1``.  The
+    result is exact (precision inf) when ``v`` and every basis sum are.
     """
     if v.precision < precision + 1:
         raise InsufficientPrecisionError(
             f"summation to precision {precision} needs input precision "
             f">= {precision + 1}, got {v.precision}"
         )
-    total = ScaleSeries.zero(INF)
-    const = COEFF_ZERO
-    bases_exact = True
+    cells: dict[Cell, Coeff] = {}
+    exact = v.precision == INF
     for (m, l), coeff in v.terms:
         base = sum_basis(BasisTerm(l, m), precision)
-        total = total + base.divergent.scale(coeff)
-        if not base.exact:
-            bases_exact = False
-            const = const + coeff * Coeff.atom(base.constant_slot)
-    if not const.is_zero:
-        total = total + ScaleSeries.monomial(const, precision=INF)
-    # an exact input leaves no unaccounted remainder: the slot exists only
-    # for the convergent contribution of the o(n^-(A+1)) part of v
-    needs_slot = v.precision != INF
-    exact = not needs_slot and bases_exact
-    if not exact:
-        total = total.truncated(precision)
-    if needs_slot and slot is None:
-        cells = ",".join(f"{m}:{l}:{c}" for (m, l), c in v.terms)
-        digest = zlib.crc32(f"{cells}@{precision}".encode())
-        slot = f"rem({digest:08x})"
-    return SummationResult(total, slot if needs_slot else None, exact)
+        exact = exact and base.precision == INF
+        for k, b in base.terms:
+            c = coeff.scale(b.q)
+            cells[k] = cells[k] + c if k in cells else c
+    return ScaleSeries.make(cells, INF if exact else precision)
 
 
-# -- slot metadata and shared numeric helpers -------------------------------
-
-
-def parse_em_slot(slot: str) -> tuple[int, int]:
-    if not (slot.startswith("em(") and slot.endswith(")")):
-        raise ValueError(f"not an em slot: {slot}")
-    l_s, m_s = slot[3:-1].split(",")
-    return int(l_s), int(m_s)
+# -- closed-form metadata and shared numeric helpers ------------------------
 
 
 def schedule_n(digits: int) -> int:
@@ -209,17 +156,26 @@ def abs_cell_magnitude(series: ScaleSeries, order: int, n: int) -> float:
     mag = 0.0
     for (m, l), c in series.terms:  # sorted: the float sum runs in ascending l
         if m == order:
-            mag += sum(abs(float(q)) for _, q in c.terms) * log_n**l
+            # the rational part first, then the atom weights in name order
+            mag += sum((abs(float(w)) for _, w in c.weights), abs(float(c.q))) * log_n**l
     return mag * float(n) ** (-order)
 
 
+def em_slot_name(l: int, m: int) -> str:
+    return f"em({l},{m})"
+
+
 def known_closed_form(slot: str) -> mpmath.mpf:
-    """Closed-form value of a slot, at the ambient precision.
+    """Closed form, at the ambient precision, of the regularised constant of
+    the basis sum named ``em(l,m)`` by :func:`em_slot_name`: the depth-1
+    constant g(m|l) less the rational constant cell of :func:`sum_basis`.
 
     Metadata only: resolution never substitutes these silently, but tests
     cross-check against them.
     """
-    l, m = parse_em_slot(slot)
+    if not (slot.startswith("em(") and slot.endswith(")")):
+        raise ValueError(f"not an em slot: {slot}")
+    l, m = (int(x) for x in slot[3:-1].split(","))
     if l == 0 and m <= 0:
         return mp.zero  # the exact slots: the whole constant is rational
     if m == 1:

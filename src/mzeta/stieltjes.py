@@ -30,16 +30,9 @@ import mpmath
 from mpmath import mp
 
 from . import mzv
-from .config import DEPTH_CAP, max_n, memo, to_mpc, to_mpf
+from .config import DEPTH_CAP, max_n, memo, to_mpc
 from .errors import PrecisionUnreachableError
-from .partial_sums import (
-    BasisTerm,
-    abs_cell_magnitude,
-    parse_em_slot,
-    schedule_n,
-    sum_basis,
-    sum_sequence,
-)
+from .partial_sums import abs_cell_magnitude, schedule_n, sum_sequence
 from .scale import Coeff, ScaleSeries
 
 IntPoint = tuple[int, ...]
@@ -129,7 +122,7 @@ def asymptotic_expansion(
         a1, k1 = point[0], order[0]
         inner = asymptotic_expansion(point[1:], order[1:], precision + 1 - a1, star)
         v = inner.shift(k1, a1)
-        series = sum_sequence(v, precision).divergent
+        series = sum_sequence(v, precision)
         if star:
             # sum over n <= N adds the N-th term itself to the strict sum
             series = series + v.truncated(precision)
@@ -172,34 +165,16 @@ _A_PROBES = (8, 14, 20)
 
 
 def resolve_atom(name: str, digits: int) -> mpmath.mpf:
-    """Numeric value of a named constant atom ("em(l,m)", "g(..)", "gs(..)").
+    """Numeric value of a constant atom ``g(..)``/``gs(..)`` of
+    :func:`gamma_atom`, by extrapolation.
 
     A value resolved earlier to at least ``digits`` digits is reused.
     """
     hit = _atom_cache.get(name)
     if hit is not None and hit[0] >= digits:
         return hit[1]
-    if name.startswith("em("):
-        value = _em_constant(*parse_em_slot(name), digits)
-    else:
-        point, order, star = parse_gamma_atom(name)
-        value = _constant_by_extrapolation(point, order, star, digits)[0]
+    value = _constant_by_extrapolation(*parse_gamma_atom(name), digits)[0]
     _atom_cache[name] = (digits, value)
-    return value
-
-
-def _em_constant(l: int, m: int, digits: int) -> mpmath.mpf:
-    """The slot em(l,m): the depth-1 constant g(m|l) less the rational
-    constant cell of the basis sum, which g's expansion replaces by its own
-    atom (that cell is nonzero only for odd m < 0 with l >= 1)."""
-    basis = sum_basis(BasisTerm(l, m), 0)
-    if basis.exact:
-        return mp.zero
-    value = _constant_by_extrapolation((m,), (l,), False, digits)[0]
-    offset = basis.divergent.cell(0, 0).rational_part()
-    if offset:
-        with mp.workdps(digits + 15):
-            value -= to_mpf(offset)
     return value
 
 
@@ -207,7 +182,7 @@ def _resolve_series_atoms(series: ScaleSeries, digits: int) -> dict[str, mpmath.
     # deepest first, then by name, whatever the string hashing: a shallower
     # atom that a deeper one resolves on the way, at more digits, is reused
     def deepest_first(name: str) -> tuple[int, str]:
-        return (-1 if name.startswith("em(") else -len(parse_gamma_atom(name)[0])), name
+        return -len(parse_gamma_atom(name)[0]), name
 
     return {name: resolve_atom(name, digits) for name in sorted(series.atoms(), key=deepest_first)}
 

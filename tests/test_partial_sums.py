@@ -6,15 +6,17 @@ import pytest
 from mpmath import mp
 
 from mzeta.errors import InsufficientPrecisionError
+from mzeta.config import to_mpf
 from mzeta.partial_sums import (
     BasisTerm,
+    em_slot_name,
     known_closed_form,
     schedule_n,
     sum_basis,
     sum_sequence,
 )
 from mzeta.scale import INF, Coeff, ScaleSeries
-from mzeta.stieltjes import resolve_atom, truncated_log_sum
+from mzeta.stieltjes import gamma_atom, resolve_atom, truncated_log_sum
 
 FR = Fraction
 
@@ -26,66 +28,65 @@ def exact_power_sum(p, n_top):
 class TestSumBasis:
     def test_count_of_integers(self):
         res = sum_basis(BasisTerm(0, 0), 0)
-        assert res.exact
-        assert res.divergent.cell(-1, 0) == Coeff.rational(1)
-        assert res.divergent.cell(0, 0) == Coeff.rational(-1)
-        assert resolve_atom(res.constant_slot, 10) == 0
+        assert res.precision == INF
+        assert res.cell(-1, 0) == Coeff.rational(1)
+        assert res.cell(0, 0) == Coeff.rational(-1)
+        assert known_closed_form(em_slot_name(0, 0)) == 0
 
     def test_harmonic(self):
         res = sum_basis(BasisTerm(0, 1), 0)
-        assert res.divergent.cell(0, 1) == Coeff.rational(1)
-        assert res.divergent.cell(0, 0).is_zero
-        assert res.constant_slot == "em(0,1)"
+        assert res.cell(0, 1) == Coeff.rational(1)
+        assert res.cell(0, 0).is_zero
+        assert res.precision == 0  # Euler's gamma is left to the caller
 
     def test_log_sum_stirling_shape(self):
         res = sum_basis(BasisTerm(1, 0), 0)
-        assert res.divergent.cell(-1, 1) == Coeff.rational(1)
-        assert res.divergent.cell(-1, 0) == Coeff.rational(-1)
-        assert res.divergent.cell(0, 1) == Coeff.rational(FR(-1, 2))
+        assert res.cell(-1, 1) == Coeff.rational(1)
+        assert res.cell(-1, 0) == Coeff.rational(-1)
+        assert res.cell(0, 1) == Coeff.rational(FR(-1, 2))
 
     def test_boundary_polynomial_in_l_only(self):
         # at the boundary weight m=1 the divergent part is a pure L-polynomial
         for l in range(4):
             res = sum_basis(BasisTerm(l, 1), 0)
-            assert all(m == 0 for (m, _), _ in res.divergent.terms)
+            assert all(m == 0 for (m, _), _ in res.terms)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_faulhaber_exactness(self, p):
         res = sum_basis(BasisTerm(0, -p), 0)
-        assert res.exact
+        assert res.precision == INF
         for n_top in range(1, 101):
-            val = res.divergent.evaluate(FR(n_top), log_n=0)
+            val = res.evaluate(FR(n_top), log_n=0)
             assert val == exact_power_sum(p, n_top)
 
     def test_correction_terms_extend_precision(self):
         res = sum_basis(BasisTerm(0, 1), 4)
-        assert res.divergent.cell(1, 0) == Coeff.rational(FR(-1, 2))
-        assert res.divergent.cell(2, 0) == Coeff.rational(FR(-1, 12))
-        assert res.divergent.cell(3, 0).is_zero
-        assert res.divergent.cell(4, 0) == Coeff.rational(FR(1, 120))
+        assert res.cell(1, 0) == Coeff.rational(FR(-1, 2))
+        assert res.cell(2, 0) == Coeff.rational(FR(-1, 12))
+        assert res.cell(3, 0).is_zero
+        assert res.cell(4, 0) == Coeff.rational(FR(1, 120))
 
 
 class TestSumSequence:
     def test_zero_sequence(self):
         res = sum_sequence(ScaleSeries.zero(), 0)
-        assert res.divergent.is_zero
-        assert res.exact
+        assert res.is_zero
+        assert res.precision == INF
 
     def test_sum_of_n(self):
         v = ScaleSeries.monomial(Coeff.rational(1), m=-1)
         res = sum_sequence(v, 0)
-        assert res.exact
-        assert res.divergent.cell(-2, 0) == Coeff.rational(FR(1, 2))
-        assert res.divergent.cell(-1, 0) == Coeff.rational(FR(-1, 2))
-        assert res.divergent.cell(0, 0).is_zero
+        assert res.precision == INF
+        assert res.cell(-2, 0) == Coeff.rational(FR(1, 2))
+        assert res.cell(-1, 0) == Coeff.rational(FR(-1, 2))
+        assert res.cell(0, 0).is_zero
 
     def test_single_term_linearity(self):
         v = ScaleSeries.monomial(Coeff.rational(1), m=1)
         res = sum_sequence(v, 0)
         base = sum_basis(BasisTerm(0, 1), 0)
-        lhs, rhs = res.divergent.drop_constant_cell(), base.divergent.drop_constant_cell()
-        assert lhs.terms == rhs.terms
-        assert res.constant_coeff() == base.constant_coeff()
+        assert res.terms == base.terms
+        assert res.precision == base.precision
 
     def test_insufficient_precision_rejected(self):
         v = ScaleSeries.monomial(Coeff.rational(1), m=1, precision=0)
@@ -107,52 +108,58 @@ class TestSumSequence:
             if v.is_zero:
                 continue
             res = sum_sequence(v, 2)
-            assert res.divergent.is_zero or res.divergent.order() >= min(0, v.order() - 1)
+            assert res.is_zero or res.order() >= min(0, v.order() - 1)
+
+
+# (l, m) of the basis sums (log n)^l n^-m with a closed-form constant;
+# (1,-1), (2,-1), (1,-3): the basis sum has a rational constant cell
+CLOSED_FORM_CASES = [(0, 1), (1, 1), (2, 1), (1, 0), (1, 2), (0, 3), (1, -1), (2, -1), (1, -3)]
 
 
 class TestResolveConstant:
     def test_euler(self):
-        value = resolve_atom("em(0,1)", 15)
+        value = resolve_atom("g(1|0)", 15)
         assert abs(value - mp.mpf("0.577215664901533")) < 1e-14
 
     def test_half_log_two_pi(self):
-        value = resolve_atom("em(1,0)", 12)
+        value = resolve_atom("g(0|1)", 12)
         with mp.workdps(25):
             assert abs(value - mp.log(2 * mp.pi) / 2) < 1e-12
 
     def test_zeta2_offset_convention(self):
-        value = resolve_atom("em(0,2)", 12)
+        value = resolve_atom("g(2|0)", 12)
         assert abs(value - mp.mpf("1.644934066848226")) < 1e-12
 
     def test_exact_slots_are_zero(self):
-        assert resolve_atom("em(0,0)", 10) == 0
-        assert resolve_atom("em(0,-3)", 10) == 0
+        # sum_{n<N} 1 = N - 1 and sum_{n<N} n^3 = N^4/4 - N^3/2 + N^2/4
+        # exactly: the constant is the rational cell, nothing is left over
+        assert resolve_atom("g(0|0)", 10) == -1
+        assert resolve_atom("g(-3|0)", 10) == 0
+        for l, m in [(0, 0), (0, -3)]:
+            assert known_closed_form(em_slot_name(l, m)) == 0
 
     @pytest.mark.parametrize(
-        "slot",
-        # em(1,-1), em(2,-1), em(1,-3): the basis sum has a rational constant cell
-        [
-            "em(0,1)", "em(1,1)", "em(2,1)", "em(1,0)", "em(1,2)", "em(0,3)",
-            "em(1,-1)", "em(2,-1)", "em(1,-3)",
-        ],
+        "l, m", CLOSED_FORM_CASES, ids=[em_slot_name(l, m) for l, m in CLOSED_FORM_CASES]
     )
-    def test_against_closed_forms(self, slot):
+    def test_against_closed_forms(self, l, m):
+        # g(m|l) is the basis sum's regularised constant plus its rational
+        # constant cell
         with mp.workdps(30):
-            expected = known_closed_form(slot)
-            assert expected is not None
-            assert abs(resolve_atom(slot, 13) - expected) < 1e-12
+            offset = sum_basis(BasisTerm(l, m), 0).cell(0, 0).q
+            expected = known_closed_form(em_slot_name(l, m)) + to_mpf(offset)
+            assert abs(resolve_atom(gamma_atom((m,), (l,)), 13) - expected) < 1e-12
 
     def test_stieltjes_metadata(self):
         with mp.workdps(25):
-            assert abs(known_closed_form("em(2,1)") - mpmath.stieltjes(2)) < 1e-20
+            assert abs(known_closed_form(em_slot_name(2, 1)) - mpmath.stieltjes(2)) < 1e-20
 
     def test_convergence_rate(self):
         # residual after subtracting the A=2 divergent part decays by a
         # factor >= 1.5 per doubling of N
         for l, m in [(0, 1), (1, 1), (1, 0)]:
-            table = sum_basis(BasisTerm(l, m), 2).divergent
+            table = sum_basis(BasisTerm(l, m), 2).drop_constant_cell()
             with mp.workdps(30):
-                const = resolve_atom(f"em({l},{m})", 20)
+                const = resolve_atom(gamma_atom((m,), (l,)), 20)
                 residuals = []
                 for e in range(10, 17):
                     n_top = 2**e
