@@ -104,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stieltjes", parents=[common], help="one multiple Stieltjes constant")
+    p.set_defaults(run=_cmd_stieltjes)
     p.add_argument("--point", required=True, help="comma-separated integers")
     p.add_argument("--order", required=True, help="comma-separated naturals")
     p.add_argument("--star", action="store_true", help="weak-inequality variant")
@@ -114,15 +115,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("zeta", parents=[common], help="continued multiple zeta value")
+    p.set_defaults(run=_cmd_zeta)
     p.add_argument("--args", required=True, help='complex list, e.g. "2,1" or "1.5+0.5i"')
     p.add_argument("--star", action="store_true")
 
     p = sub.add_parser("verify", parents=[common], help="run identity checks")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("identity", help="identity name or 'all'")
     p.add_argument("--depth", type=int, default=None, help="restrict to one depth")
     p.add_argument("--jobs", type=int, default=None, help="parallel workers")
 
     p = sub.add_parser("expand", parents=[common], help="regularised series around a point")
+    p.set_defaults(run=_cmd_expand)
     p.add_argument("--point", required=True)
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--star", action="store_true")
@@ -158,15 +162,8 @@ def _cmd_stieltjes(ns: argparse.Namespace) -> int:
         "value": _fmt(value.value, ns.digits),
         "est_error": mpmath.nstr(value.est_error, 3),
     }
-    _emit(
-        payload,
-        ns.output,
-        [
-            _fmt(value.value, ns.digits),
-            f"est_error: {mpmath.nstr(value.est_error, 3)}",
-            f"method: {value.method}",
-        ],
-    )
+    lines = [payload["value"], f"est_error: {payload['est_error']}", f"method: {value.method}"]
+    _emit(payload, ns.output, lines)
     return EXIT_OK
 
 
@@ -182,11 +179,7 @@ def _cmd_zeta(ns: argparse.Namespace) -> int:
         "value": _fmt(value, ns.digits),
         "est_error": mpmath.nstr(est, 3),
     }
-    _emit(
-        payload,
-        ns.output,
-        [_fmt(value, ns.digits), f"est_error: {mpmath.nstr(est, 3)}"],
-    )
+    _emit(payload, ns.output, [payload["value"], f"est_error: {payload['est_error']}"])
     return EXIT_OK
 
 
@@ -247,9 +240,8 @@ def _cmd_expand(ns: argparse.Namespace) -> int:
         for i in iset:
             if i == 0:
                 continue
-            sign = (-1) ** (i - len([j for j in iset if 1 <= j <= i]))
             f_i = stuffle.f_rational(iset, i)
-            blocks.append({"i": i, "sign": sign, "f": f_i.to_json_dict()})
+            blocks.append({"i": i, "sign": stuffle.inversion_sign(iset, i), "f": f_i.to_json_dict()})
         payload["singular_blocks"] = blocks
         lines.append(f"index set: {list(iset)}; singular blocks: {len(blocks)}")
     for key, val in coeffs.items():
@@ -268,15 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _validate_config(ns)
         with mp.workdps(ns.digits + 10):
-            if ns.command == "stieltjes":
-                return _cmd_stieltjes(ns)
-            if ns.command == "zeta":
-                return _cmd_zeta(ns)
-            if ns.command == "verify":
-                return _cmd_verify(ns)
-            if ns.command == "expand":
-                return _cmd_expand(ns)
-            raise CliParseError(f"unknown command {ns.command!r}")
+            return ns.run(ns)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and the classical number tables.
+"""Exact rational arithmetic, the classical number tables and integer tuples.
 
 Everything here is computed over ``fractions.Fraction`` (arbitrary precision,
 always reduced), so downstream symbolic work never sees rounding.  The module
@@ -8,80 +8,91 @@ holds the memoized tables and the Pochhammer polynomials:
   companions ``B*_n = (-1)^n B_n``, and the ratios ``B_n/n!`` and ``B*_n/n!``,
 - signed Stirling numbers of the first kind ``s(n, k)``,
 - rising-factorial (Pochhammer) polynomials ``(s)_k``, extended to the
-  reciprocal marker ``(s)_{-1} = 1/(s-1)``.
+  reciprocal marker ``(s)_{-1} = 1/(s-1)``,
+- the weak compositions of an integer, which every enumeration of integer
+  tuples with a fixed sum reads.
 
-Tables are append-only and guarded by a lock; all returned values are
-immutable, so concurrent readers are safe.
+The tables are :func:`config.memo` entries, filled in ascending order so that
+a cold call recurses a level or two only; all returned values are immutable.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, pairwise
 from math import comb, factorial
-from typing import Union
+from typing import Iterator, Union
+
+from .config import memo
 
 Number = Union[int, float, complex, Fraction]
 
-_lock = threading.Lock()
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-_stirling_cache: list[list[int]] = [[1]]
-_bernoulli_ratio_cache: dict[bool, list[Fraction]] = {False: [], True: []}
 
-
+@memo(key=lambda n, star=False: (n, star))
 def bernoulli(n: int, star: bool = False) -> Fraction:
     """Return B_n, or B*_n = (-1)^n B_n when ``star`` is set.
 
     Computed by the binomial recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0,
-    i.e. B_n = -1/(n+1) * sum_{j<n} C(n+1, j) B_j, and memoized.
+    i.e. B_n = -1/(n+1) * sum_{j<n} C(n+1, j) B_j, over ascending j.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    with _lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for j, bj in enumerate(_bernoulli_cache):
-                acc += comb(m + 1, j) * bj
-            _bernoulli_cache.append(-acc / (m + 1))
-        value = _bernoulli_cache[n]
-    if star and n % 2 == 1:
-        return -value
-    return value
+    if star:
+        return -bernoulli(n) if n % 2 == 1 else bernoulli(n)
+    if n == 0:
+        return Fraction(1)
+    return -sum((comb(n + 1, j) * bernoulli(j) for j in range(n)), Fraction(0)) / (n + 1)
 
 
-def bernoulli_ratios(n: int, star: bool = False) -> list[Fraction]:
-    """[B_0/0!, .., B_n/n!] (B*_k/k! when ``star``), from one table per variant."""
-    table = _bernoulli_ratio_cache[star]
-    for k in range(len(table), n + 1):
-        ratio = bernoulli(k, star) / factorial(k)
-        with _lock:
-            if len(table) == k:
-                table.append(ratio)
-    return table[: n + 1]
+@memo(key=lambda k, star: (k, star))
+def _bernoulli_ratio(k: int, star: bool) -> Fraction:
+    return bernoulli(k, star) / factorial(k)
+
+
+@memo(key=lambda n, star=False: (n, star))
+def bernoulli_ratios(n: int, star: bool = False) -> tuple[Fraction, ...]:
+    """(B_0/0!, .., B_n/n!), or the B*_k/k! when ``star`` is set.  Each ratio
+    is divided out once, so a cold call costs n lookups and no recursion."""
+    return tuple(_bernoulli_ratio(k, star) for k in range(n + 1))
+
+
+@memo(key=lambda n: n)
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """(s(n, 0), .., s(n, n)), by s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)."""
+    if n == 0:
+        return (1,)
+    if n - 1 not in _stirling_row.cache:  # cold: fill the rows below, lowest first
+        for m in range(n - 1):
+            _stirling_row(m)
+    prev = (*_stirling_row(n - 1), 0)
+    return tuple((prev[k - 1] if k else 0) - (n - 1) * prev[k] for k in range(n + 1))
 
 
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k).
 
     Sign convention: s(n, k) = (-1)^{n-k} [n choose-cycles k], equivalently
-    the coefficients of the falling factorial.  Recurrence:
-    s(n+1, k) = s(n, k-1) - n * s(n, k).
+    the coefficients of the falling factorial.
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"Stirling index out of range: ({n}, {k})")
-    with _lock:
-        while len(_stirling_cache) <= n:
-            m = len(_stirling_cache) - 1
-            prev = _stirling_cache[-1]
-            row = [0] * (m + 2)
-            for j in range(m + 2):
-                above = prev[j] if j <= m else 0
-                left = prev[j - 1] if j >= 1 else 0
-                row[j] = left - m * above
-            _stirling_cache.append(row)
-        return _stirling_cache[n][k]
+    return _stirling_row(n)[k]
+
+
+def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The weak compositions of n into ``parts`` parts, in lexicographic order.
+
+    Stars and bars: each choice of parts - 1 bar slots among n + parts - 1
+    cuts the n stars into one composition.  Nothing for n < 0.
+    """
+    if n < 0 or parts == 0:
+        if n == parts == 0:
+            yield ()
+        return
+    slots = n + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in pairwise((-1, *bars, slots)))
 
 
 @dataclass(frozen=True)
@@ -120,22 +131,14 @@ def pochhammer(k: int) -> PochhammerPoly:
         raise ValueError("Pochhammer order must be >= -1")
     if k == -1:
         return PochhammerPoly(-1, ())
-    coeffs = [Fraction(1)]
-    for i in range(k):
-        # multiply by (s + i)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d] += i * c
-            nxt[d + 1] += c
-        coeffs = nxt
-    return PochhammerPoly(k, tuple(coeffs))
+    # (s)_k = sum_j |s(k, j)| s^j
+    return PochhammerPoly(k, tuple(Fraction(abs(c)) for c in _stirling_row(k)))
 
 
 def rising(s: Number, k: int) -> Number:
     """Numeric (s)_k for k >= 0, with (s)_{-1} = 1/(s-1).
 
-    Unlike :func:`pochhammer` this evaluates directly and is the workhorse
-    of the numeric tail expansions.
+    Unlike :func:`pochhammer` this evaluates directly.
     """
     if k < -1:
         raise ValueError("Pochhammer order must be >= -1")

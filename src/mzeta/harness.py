@@ -14,17 +14,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log10, prod
+from math import ceil, log10
 from typing import Sequence
 
 import mpmath
 from mpmath import mp
 
 from . import mzv, stieltjes
+from .config import to_mpc, to_mpf
 from .errors import TailNotConvergingError
-from .exact import bernoulli_ratios
-from .mzv import to_mpc
-from .stuffle import deduce_sequence, enumerate_stufflings, f_rational
+from .stuffle import deduce_sequence, enumerate_stufflings, f_rational, inversion_sign
 from .stieltjes import index_set
 
 IDENTITY_NAMES = (
@@ -215,8 +214,7 @@ def check_inverse_exp(point: Sequence[int], offsets: Sequence, digits: int = 10)
         for i in iset:
             f_i = f_rational(iset, i)
             weight = f_i.evaluate([to_mpc(s[j]) - 1 for j in range(i)]) if i else 1
-            sign = (-1) ** (i - len([j for j in iset if 1 <= j <= i]))
-            rhs += sign * weight * _reg_eval(point[i:], s[i:], digits)
+            rhs += inversion_sign(iset, i) * weight * _reg_eval(point[i:], s[i:], digits)
     return _check("inverse-exp", params, lhs, rhs, digits, len(iset))
 
 
@@ -253,12 +251,8 @@ def _ray_limit_correction(prefix: tuple[int, ...], direction: Sequence[Fraction]
     exist (not the case on the rays exercised here).
     """
     i = len(prefix)
-    ratios = bernoulli_ratios(max(0, i - sum(prefix)), star=True)
     total = Fraction(0)
-    for ks in mzv.correction_tuples(prefix):
-        coeff = prod((ratios[k + 1] for k in ks), start=Fraction(1))
-        if coeff == 0:
-            continue
+    for ks, coeff in mzv.correction_terms(prefix, star=True):
         eps_pow = 0
         int_part = 0
         slope = Fraction(0)
@@ -315,13 +309,13 @@ def check_limits_at_origin(digits: int = 10) -> list[IdentityCheck]:
             corr2 = _ray_limit_correction((0, 0), direction)
             zeta_suffix = g0 + mp.mpf(1) / 2  # zeta(0) from Reg_(0): gamma_0^(0) + B_1*
             value = g00 + zeta_suffix * mp.mpf(corr1.numerator) / corr1.denominator
-            value -= mp.mpf(corr2.numerator) / corr2.denominator
+            value -= to_mpf(corr2)
             out.append(
                 _check(
                     "limits-origin",
                     {"limit": tag, "expect": expect},
                     value,
-                    mp.mpf(expect.numerator) / expect.denominator,
+                    to_mpf(expect),
                     digits,
                     3,
                 )
@@ -504,7 +498,8 @@ def verify(
         # imported here: the pool costs every CLI start otherwise
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under fork the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             futures = {name: pool.submit(run_identity, name, seed, digits) for name in names}
             for name in names:
                 results.extend(futures[name].result())

@@ -25,6 +25,7 @@ between continued values occurs away from the polar set.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import pairwise, product
 from math import prod
 from typing import Iterator, Sequence
 
@@ -33,14 +34,14 @@ from mpmath import mp
 from mpmath.libmp import fone, from_int, fzero, mpc_add, mpc_mul, mpc_one, mpc_pow
 from mpmath.libmp import mpc_zero, mpf_add, mpf_log, mpf_mul, mpf_pow_int
 
-from .config import DEPTH_CAP, max_n, memo, to_mpc
+from .config import DEPTH_CAP, max_n, memo, to_mpc, to_mpf
 from .errors import (
     PolarPointError,
     PoleProximityError,
     PrecisionUnreachableError,
     TailNotConvergingError,
 )
-from .exact import bernoulli_ratios
+from .exact import bernoulli_ratios, compositions
 
 POLE_TOL = 1e-12
 K_CAP = 40
@@ -224,7 +225,7 @@ class _TailShells:
         self.shells.append(acc[0])
         self.shells_abs.append(acc[1])
 
-    def _visit(self, node: _TailNode, rest: int, ratios: list, power, acc: list) -> None:
+    def _visit(self, node: _TailNode, rest: int, ratios: tuple, power, acc: list) -> None:
         """Advance ``node`` to k_(j+1) = rest and add the terms of its subtree
         in this shell to ``acc``, in lexicographic order of the k-tuples."""
         ratio = ratios[rest]
@@ -232,7 +233,7 @@ class _TailShells:
         if node.depth == len(self.ss) - 1:
             if ratio:
                 coeff = node.coeff * ratio
-                term = run * (mp.mpf(coeff.numerator) / coeff.denominator) * power
+                term = run * to_mpf(coeff) * power
                 acc[0] += term
                 acc[1] += abs(term)
             return
@@ -312,14 +313,11 @@ def _check_variant(variant: str) -> None:
 
 
 def _merge_patterns(r: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Consecutive-block partitions of (0..r-1), as (start, stop) pairs."""
-    if r == 0:
-        yield ()
-        return
-    for first_len in range(1, r + 1):
-        for rest in _merge_patterns(r - first_len):
-            shifted = tuple((a + first_len, b + first_len) for a, b in rest)
-            yield ((0, first_len),) + shifted
+    """Consecutive-block partitions of (0..r-1), r >= 1, as (start, stop)
+    pairs: each of the r-1 gaps is cut or not, "cut" first."""
+    for cuts in product((True, False), repeat=r - 1):
+        stops = [p for p, cut in enumerate(cuts, start=1) if cut]
+        yield tuple(pairwise((0, *stops, r)))
 
 
 def _exact_key(x):
@@ -437,9 +435,16 @@ def zeta_partial_derivative(
         def fn(pt):
             return zeta_value(pt, inner_digits)
 
-        d_h = _nested_central(fn, center, order, h)
-        d_h2 = _nested_central(fn, center, order, h / 2)
-        return (4 * d_h2 - d_h) / 3
+        return richardson_partial(fn, center, order, h)[0]
+
+
+def richardson_partial(fn, center: list, order: tuple[int, ...], h) -> tuple[mpmath.mpc, mpmath.mpf]:
+    """Mixed partial derivative of ``fn`` at ``center`` by nested central
+    differences at steps h and h/2, Richardson-extrapolated once, and the
+    size of that extrapolation's correction as an error estimate."""
+    d_h = _nested_central(fn, center, order, h)
+    d_h2 = _nested_central(fn, center, order, h / 2)
+    return (4 * d_h2 - d_h) / 3, abs(d_h2 - d_h) / 3
 
 
 def _nested_central(fn, center: list, order: tuple[int, ...], h) -> mpmath.mpc:
@@ -461,23 +466,21 @@ def _nested_central(fn, center: list, order: tuple[int, ...], h) -> mpmath.mpc:
 
 
 def correction_tuples(prefix: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Tuples (k_1..k_i), k_j >= -1, with sum k_j = -sum(prefix)."""
+    """Tuples (k_1..k_i), k_j >= -1, with sum k_j = -sum(prefix), in
+    lexicographic order: the compositions of i - sum(prefix), less 1 each."""
     i = len(prefix)
-    total = -sum(prefix)
-    if total < -i:
-        return
+    for ks in compositions(i - sum(prefix), i):
+        yield tuple(k - 1 for k in ks)
 
-    def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if pos == i:
-            if remaining == 0:
-                yield ()
-            return
-        slots_after = i - pos - 1
-        for k in range(-1, remaining + slots_after + 1):
-            for rest in rec(pos + 1, remaining - k):
-                yield (k,) + rest
 
-    yield from rec(0, total)
+def correction_terms(prefix: Sequence[int], star: bool) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """The correction tuples of ``prefix`` with their coefficients
+    prod_j B_{k_j+1}/(k_j+1)! (B* when ``star``), where that is nonzero."""
+    ratios = bernoulli_ratios(max(0, len(prefix) - sum(prefix)), star)
+    for ks in correction_tuples(prefix):
+        coeff = prod((ratios[k + 1] for k in ks), start=Fraction(1))
+        if coeff:
+            yield ks, coeff
 
 
 def reg_correction_term(
@@ -495,12 +498,8 @@ def reg_correction_term(
     """
     i = len(point)
     ss = [to_mpc(x) for x in s]
-    ratios = bernoulli_ratios(max(0, i - sum(point)), star=not star)
     total = mp.mpc(0)
-    for ks in correction_tuples(point):
-        coeff = prod((ratios[k + 1] for k in ks), start=Fraction(1))
-        if coeff == 0:
-            continue
+    for ks, coeff in correction_terms(point, star=not star):
         chain = mp.mpc(1)
         pref_s = mp.mpc(0)
         pref_k = 0
@@ -519,7 +518,7 @@ def reg_correction_term(
                 for t in range(k):
                     chain *= x + t
             pref_k += k
-        total += mp.mpf(coeff.numerator) / coeff.denominator * chain
+        total += to_mpf(coeff) * chain
     return total
 
 

@@ -23,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -30,8 +31,9 @@ import mpmath
 from mpmath import mp
 
 from . import mzv
-from .config import DEPTH_CAP, max_n, memo, to_mpc
+from .config import DEPTH_CAP, max_n, memo, to_mpc, to_mpf
 from .errors import PrecisionUnreachableError
+from .exact import compositions
 from .partial_sums import abs_cell_magnitude, schedule_n, sum_sequence
 from .scale import Coeff, ScaleSeries
 
@@ -46,35 +48,24 @@ def as_point(coords: Iterable[int]) -> IntPoint:
     return pt
 
 
+def _excess(point: Sequence[int]) -> list[int]:
+    """a_1+..+a_i - i for each prefix (a_1..a_i) of the point."""
+    return list(accumulate(a - 1 for a in point))
+
+
 def in_U(point: Sequence[int]) -> bool:
     """Strict domain: every prefix sum a_1+..+a_i exceeds i."""
-    acc = 0
-    for i, a in enumerate(point, start=1):
-        acc += a
-        if acc <= i:
-            return False
-    return True
+    return all(e > 0 for e in _excess(point))
 
 
 def in_closure(point: Sequence[int]) -> bool:
     """Closure of the domain: every prefix sum is at least its length."""
-    acc = 0
-    for i, a in enumerate(point, start=1):
-        acc += a
-        if acc < i:
-            return False
-    return True
+    return all(e >= 0 for e in _excess(point))
 
 
 def index_set(point: Sequence[int]) -> tuple[int, ...]:
     """Indices i with a_1+..+a_i = i (always including 0)."""
-    out = [0]
-    acc = 0
-    for i, a in enumerate(point, start=1):
-        acc += a
-        if acc == i:
-            out.append(i)
-    return tuple(out)
+    return (0, *(i for i, e in enumerate(_excess(point), start=1) if e == 0))
 
 
 # -- constant atoms ----------------------------------------------------------
@@ -289,8 +280,7 @@ def _constant_by_assembly(
     k_total = sum(order)
     with mp.workdps(digits + 15 + 4 * k_total):
         if k_total == 0:
-            value, err = _reg_center_value(point, star, digits)
-            return value, err
+            return _reg_center_value(point, star, digits)
         # mixed partial of the regularised function at the center via
         # central differences, Richardson-extrapolated once
         h = mp.mpf(10) ** (-max(2, digits // (2 * (k_total + 1))))
@@ -299,11 +289,9 @@ def _constant_by_assembly(
             return mzv.reg_via_tails(point, s, digits + 6, star=star)
 
         center = [mp.mpf(a) for a in point]
-        d_h = mzv._nested_central(fn, center, order, h)
-        d_h2 = mzv._nested_central(fn, center, order, h / 2)
-        deriv = (4 * d_h2 - d_h) / 3
+        deriv, correction = mzv.richardson_partial(fn, center, order, h)
         value = (-1) ** k_total * deriv
-        err = max(abs(d_h2 - d_h) / 3, abs(value) * mp.mpf(10) ** (-digits))
+        err = max(correction, abs(value) * mp.mpf(10) ** (-digits))
         return value, err
 
 
@@ -335,13 +323,10 @@ def _neville_at_zero(samples: list[tuple]) -> mpmath.mpf:
 
 
 def iter_orders(depth: int, degree: int) -> Iterator[OrderIndex]:
-    """All order tuples of the given depth with total degree <= degree."""
-    if depth == 0:
-        yield ()
-        return
-    for head in range(degree + 1):
-        for tail in iter_orders(depth - 1, degree - head):
-            yield (head,) + tail
+    """All order tuples of the given depth with total degree <= degree, in
+    lexicographic order: the compositions of degree with a slack part."""
+    for ks in compositions(degree, depth + 1):
+        yield ks[:-1]
 
 
 @dataclass(frozen=True)
@@ -380,7 +365,7 @@ def reg_series(
     for ks in iter_orders(len(center), degree):
         gamma = stieltjes_constant(center, ks, digits, star)
         weight = Fraction((-1) ** sum(ks), math.prod(factorial(k) for k in ks))
-        coeffs[ks] = mp.mpf(weight.numerator) / weight.denominator * gamma.value
+        coeffs[ks] = to_mpf(weight) * gamma.value
     return RegSeries(center, degree, star, digits, coeffs)
 
 

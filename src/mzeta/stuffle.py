@@ -16,6 +16,7 @@ permuted exponents.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -203,10 +204,7 @@ class RatFunc:
         """Normalized (numerator, denominator) by common-denominator collection."""
         max_mult: dict[LinForm, int] = {}
         for _, forms in self.terms:
-            counts: dict[LinForm, int] = {}
-            for f in forms:
-                counts[f] = counts.get(f, 0) + 1
-            for f, k in counts.items():
+            for f, k in Counter(forms).items():
                 max_mult[f] = max(max_mult.get(f, 0), k)
         den = _poly_const(Fraction(1), self.nvars)
         for f, k in max_mult.items():
@@ -215,13 +213,11 @@ class RatFunc:
                 den = _poly_mul(den, fp)
         num = _poly_zero()
         for c, forms in self.terms:
-            counts = {}
-            for f in forms:
-                counts[f] = counts.get(f, 0) + 1
+            counts = Counter(forms)
             part = _poly_const(c, self.nvars)
             for f, k in max_mult.items():
                 fp = _poly_from_form(f)
-                for _ in range(k - counts.get(f, 0)):
+                for _ in range(k - counts[f]):
                     part = _poly_mul(part, fp)
             num = _poly_add(num, part)
         return num, den
@@ -297,6 +293,11 @@ def f_rational(I: Sequence[int], i: int) -> RatFunc:
     if i not in set(I) | {0}:
         raise ValueError(f"index {i} not in I")
     return b_rational(I, 0, i, nvars=i)
+
+
+def inversion_sign(I: Sequence[int], i: int) -> int:
+    """The sign (-1)^(i - |I n {1..i}|) that f_i carries in the inversion."""
+    return (-1) ** (i - len(set(I) & set(range(1, i + 1))))
 
 
 def matrix_A(I: Sequence[int], r: int) -> dict[tuple[int, int], RatFunc]:

@@ -254,6 +254,20 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.stdout == "False\n"
 
 
+def test_each_subcommand_names_its_handler():
+    from mzeta import cli
+
+    parser = cli._build_parser()
+    for argv, handler in (
+        (["stieltjes", "--point=1", "--order=0"], cli._cmd_stieltjes),
+        (["zeta", "--args=2"], cli._cmd_zeta),
+        (["verify", "unicity"], cli._cmd_verify),
+        (["expand", "--point=1"], cli._cmd_expand),
+    ):
+        ns = parser.parse_args(argv)
+        assert ns.command == argv[0] and ns.run is handler
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0

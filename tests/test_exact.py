@@ -1,11 +1,20 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mzeta.exact import bernoulli, pochhammer, rising, stirling_first
+from mzeta import exact
+from mzeta.exact import (
+    bernoulli,
+    bernoulli_ratios,
+    compositions,
+    pochhammer,
+    rising,
+    stirling_first,
+)
 
 
 def poly_mul(a, b):
@@ -130,3 +139,94 @@ def test_tables_are_safe_under_concurrent_growth():
         stir = list(pool.map(lambda n: stirling_first(n, n // 2), range(2, 60)))
     assert bern == [bernoulli(2 * n) for n in range(120)]
     assert stir == [stirling_first(n, n // 2) for n in range(2, 60)]
+
+
+# -- the locked append-only tables and the product loop that the memos
+# replaced, kept as the reference ---------------------------------------------
+
+
+def _old_bernoulli_table(n):
+    table = [Fraction(1)]
+    while len(table) <= n:
+        m = len(table)
+        acc = Fraction(0)
+        for j, bj in enumerate(table):
+            acc += comb(m + 1, j) * bj
+        table.append(-acc / (m + 1))
+    return table
+
+
+def _old_stirling_table(n):
+    table = [[1]]
+    while len(table) <= n:
+        m = len(table) - 1
+        prev = table[-1]
+        row = [0] * (m + 2)
+        for j in range(m + 2):
+            above = prev[j] if j <= m else 0
+            left = prev[j - 1] if j >= 1 else 0
+            row[j] = left - m * above
+        table.append(row)
+    return table
+
+
+def _old_pochhammer_coeffs(k):
+    coeffs = [Fraction(1)]
+    for i in range(k):
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for d, c in enumerate(coeffs):
+            nxt[d] += i * c
+            nxt[d + 1] += c
+        coeffs = nxt
+    return tuple(coeffs)
+
+
+class TestTableOracle:
+    def test_bernoulli_matches_the_append_only_loop(self):
+        table = _old_bernoulli_table(120)
+        for star in (False, True):
+            old = [-b if star and n % 2 else b for n, b in enumerate(table)]
+            ratios = [b / factorial(n) for n, b in enumerate(old)]
+            for n in range(121):
+                assert bernoulli(n, star) == old[n]
+                got = bernoulli_ratios(n, star)
+                assert type(got) is tuple and got == tuple(ratios[: n + 1])
+
+    def test_stirling_and_pochhammer_match_the_old_loops(self):
+        table = _old_stirling_table(60)
+        for n in range(61):
+            assert [stirling_first(n, k) for k in range(n + 1)] == table[n]
+            poly = pochhammer(n)
+            assert poly.coeffs == _old_pochhammer_coeffs(n)
+            assert all(type(c) is Fraction for c in poly.coeffs)
+
+    def test_cold_tables_fill_without_deep_recursion(self):
+        memos = (bernoulli, exact._bernoulli_ratio, bernoulli_ratios, exact._stirling_row)
+        for fn in memos:
+            fn.cache.clear()
+        try:
+            # von Staudt-Clausen: the denominator of B_300 is the product
+            # of the primes p with (p - 1) | 300
+            primes = [p for p in range(2, 302) if all(p % q for q in range(2, p))]
+            assert bernoulli(300).denominator == prod(
+                p for p in primes if 300 % (p - 1) == 0
+            )
+            assert len(bernoulli_ratios(300, True)) == 301
+            # row 1100 lies above the default recursion limit
+            assert stirling_first(1100, 550) != 0
+            assert stirling_first(1100, 1099) == -comb(1100, 2)
+        finally:
+            for fn in memos:
+                fn.cache.clear()
+
+
+class TestCompositions:
+    def test_matches_the_filtered_product(self):
+        for parts in range(5):
+            for n in range(-1, 7):
+                expect = [t for t in product(range(max(n, 0) + 1), repeat=parts) if sum(t) == n]
+                assert list(compositions(n, parts)) == expect
+
+    def test_counts_by_stars_and_bars(self):
+        assert sum(1 for _ in compositions(12, 5)) == comb(16, 4)
+        assert list(compositions(3, 1)) == [(3,)]

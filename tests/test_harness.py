@@ -209,3 +209,31 @@ class TestRunner:
         serial = harness.verify(["unicity", "limits-origin"], seed=42, digits=9, jobs=1)
         parallel = harness.verify(["unicity", "limits-origin"], seed=42, digits=9, jobs=2)
         assert [c.to_json_dict() for c in serial] == [c.to_json_dict() for c in parallel]
+
+    def test_pool_is_capped_at_the_family_count(self, monkeypatch):
+        # under fork the pool starts every worker at the first submit, so a
+        # huge --jobs must not reach it; the fake pool runs tasks inline
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "run_identity", lambda name, seed, digits: [])
+        assert harness.verify(["unicity", "limits-origin"], jobs=100_000) == []
+        assert harness.verify(list(harness.IDENTITY_NAMES), jobs=3) == []
+        assert sizes == [2, 3]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 import pytest
 from mpmath import mp
@@ -609,3 +610,69 @@ class TestNestedSumOracle:
             stieltjes.truncated_log_sum((1,), (0,), 0)
         with pytest.raises(ValueError):
             zeta_truncated((2,), 0)
+
+
+# -- the recursive generators that exact.compositions and itertools.product
+# replaced, kept as the reference ---------------------------------------------
+
+
+def _recursive_merge_patterns(r):
+    if r == 0:
+        yield ()
+        return
+    for first_len in range(1, r + 1):
+        for rest in _recursive_merge_patterns(r - first_len):
+            shifted = tuple((a + first_len, b + first_len) for a, b in rest)
+            yield ((0, first_len),) + shifted
+
+
+def _recursive_correction_tuples(prefix):
+    i = len(prefix)
+    total = -sum(prefix)
+    if total < -i:
+        return
+
+    def rec(pos, remaining):
+        if pos == i:
+            if remaining == 0:
+                yield ()
+            return
+        slots_after = i - pos - 1
+        for k in range(-1, remaining + slots_after + 1):
+            for rest in rec(pos + 1, remaining - k):
+                yield (k,) + rest
+
+    yield from rec(0, total)
+
+
+class TestEnumerationOracle:
+    def test_merge_patterns_match_the_recursion(self):
+        for r in range(1, 9):
+            assert list(mzv._merge_patterns(r)) == list(_recursive_merge_patterns(r))
+
+    def test_correction_tuples_match_the_recursion(self):
+        count = 0
+        for depth in range(5):
+            for prefix in product(range(-3, 4), repeat=depth):
+                got = list(mzv.correction_tuples(prefix))
+                assert got == list(_recursive_correction_tuples(prefix)), prefix
+                count += 1
+        assert count == sum(7**d for d in range(5))
+
+    def test_deep_negative_prefix_is_enumerated_directly(self):
+        # 26^6 candidates of a filtered product, 118,755 valid tuples
+        assert sum(1 for _ in mzv.correction_tuples((-3,) * 6)) == comb(29, 5)
+
+
+def test_richardson_partial_is_the_derivative_and_its_correction():
+    with mp.workdps(30):
+        center, h = [mp.mpf(2), mp.mpf(3)], mp.mpf(10) ** -3
+
+        def fn(pt):
+            return pt[0] ** 3 * mp.exp(pt[1])
+
+        d_h = mzv._nested_central(fn, center, (1, 1), h)
+        d_h2 = mzv._nested_central(fn, center, (1, 1), h / 2)
+        deriv, err = mzv.richardson_partial(fn, center, (1, 1), h)
+        assert deriv == (4 * d_h2 - d_h) / 3 and err == abs(d_h2 - d_h) / 3
+        assert abs(deriv - 12 * mp.exp(3)) < 1e-9

@@ -313,3 +313,40 @@ class TestCaches:
         assert resolve_atom(name, 25) is v30
         with mp.workdps(40):
             assert abs(v30 - v20) < 1e-20
+
+
+# -- the recursive order enumeration and the hand-rolled prefix-sum loops
+# that exact.compositions and one accumulate list replaced ---------------------
+
+
+def _recursive_iter_orders(depth, degree):
+    if depth == 0:
+        yield ()
+        return
+    for head in range(degree + 1):
+        for tail in _recursive_iter_orders(depth - 1, degree - head):
+            yield (head,) + tail
+
+
+def _looped_predicates(point):
+    acc, strict, closed, iset = 0, True, True, [0]
+    for i, a in enumerate(point, start=1):
+        acc += a
+        strict, closed = strict and acc > i, closed and acc >= i
+        if acc == i:
+            iset.append(i)
+    return strict, closed, tuple(iset)
+
+
+class TestEnumerationOracle:
+    def test_iter_orders_matches_the_recursion(self):
+        for depth in range(7):
+            for degree in range(9):
+                got = list(iter_orders(depth, degree))
+                assert got == list(_recursive_iter_orders(depth, degree)), (depth, degree)
+
+    def test_prefix_predicates_match_the_loops(self):
+        for depth in range(5):
+            for point in product(range(-2, 4), repeat=depth):
+                got = (in_U(point), in_closure(point), index_set(point))
+                assert got == _looped_predicates(point), point

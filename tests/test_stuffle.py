@@ -15,6 +15,7 @@ from mzeta.stuffle import (
     deduce_sequence,
     enumerate_stufflings,
     f_rational,
+    inversion_sign,
     matrix_A,
     matrix_A_inverse,
     matrix_product,
@@ -342,3 +343,11 @@ def test_ratfunc_json_shape():
     base = monomials[(1, 0, 0)]
     assert monomials[(0, 1, 0)] == 2 * base
     assert monomials[(0, 0, 1)] == base
+
+
+def test_inversion_sign_counts_the_index_set_up_to_i():
+    assert inversion_sign((0, 1, 2), 2) == 1
+    assert inversion_sign((0, 2), 2) == -1
+    for iset in ((0,), (0, 1), (0, 2, 3), (0, 1, 3, 4)):
+        for i in iset:
+            assert inversion_sign(iset, i) == (-1) ** (i - len([j for j in iset if 1 <= j <= i]))
