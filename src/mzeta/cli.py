@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mp
 
 from . import __version__, harness, mzv, stieltjes, stuffle
-from .config import max_n
+from .config import DEPTH_CAP, max_n
 from .errors import PolarPointError, PoleProximityError, PrecisionUnreachableError
 
 EXIT_OK = 0
@@ -62,7 +62,10 @@ def _parse_complex_list(text: str) -> tuple:
             # keep exact rationals so polar detection stays exact
             out.append(int(re_part) if "." not in re_part else Fraction(re_part))
         else:
-            out.append(mp.mpc(float(re_part), float(im_part)))
+            z = mp.mpc(float(re_part), float(im_part))
+            if not mpmath.isfinite(z):
+                raise CliParseError(f"complex number {tok!r} is out of range")
+            out.append(z)
     return tuple(out)
 
 
@@ -96,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=12, help="target digits (<= 50)")
     common.add_argument(
-        "--depth-cap", type=int, default=4, help=f"maximum depth (<= {mzv.DEPTH_CAP})"
+        "--depth-cap", type=int, default=4, help=f"maximum depth (<= {DEPTH_CAP})"
     )
     common.add_argument("--seed", type=int, default=42, help="seed for sampled points")
     common.add_argument("--output", choices=("json", "text"), default="text")
@@ -136,12 +139,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate_config(ns: argparse.Namespace) -> None:
     if not 1 <= ns.digits <= 50:
         raise CliParseError("--digits must be in 1..50")
-    if not 0 <= ns.depth_cap <= mzv.DEPTH_CAP:
-        raise CliParseError(f"--depth-cap must be in 0..{mzv.DEPTH_CAP}")
+    if not 0 <= ns.depth_cap <= DEPTH_CAP:
+        raise CliParseError(f"--depth-cap must be in 0..{DEPTH_CAP}")
     try:
         max_n()
     except ValueError as exc:
         raise CliParseError(str(exc)) from exc
+
+
+def _check_depth(depth: int, ns: argparse.Namespace) -> None:
+    if depth > ns.depth_cap:
+        raise CliParseError(f"depth {depth} exceeds --depth-cap {ns.depth_cap}")
 
 
 def _cmd_stieltjes(ns: argparse.Namespace) -> int:
@@ -149,8 +157,7 @@ def _cmd_stieltjes(ns: argparse.Namespace) -> int:
     order = _parse_int_list(ns.order)
     if len(point) != len(order):
         raise CliParseError("--point and --order must have equal length")
-    if len(point) > ns.depth_cap:
-        raise CliParseError(f"depth {len(point)} exceeds --depth-cap {ns.depth_cap}")
+    _check_depth(len(point), ns)
     if any(k < 0 for k in order):
         raise CliParseError("--order entries must be >= 0")
     value = stieltjes.stieltjes_constant(point, order, ns.digits, star=ns.star, method=ns.method)
@@ -169,8 +176,7 @@ def _cmd_stieltjes(ns: argparse.Namespace) -> int:
 
 def _cmd_zeta(ns: argparse.Namespace) -> int:
     args = _parse_complex_list(ns.args)
-    if len(args) > ns.depth_cap:
-        raise CliParseError(f"depth {len(args)} exceeds --depth-cap {ns.depth_cap}")
+    _check_depth(len(args), ns)
     variant = "star" if ns.star else "strict"
     value, est = mzv.zeta_value_with_error(args, ns.digits, variant)
     payload = {
@@ -220,8 +226,7 @@ def _cmd_expand(ns: argparse.Namespace) -> int:
     point = _parse_int_list(ns.point)
     if not 0 <= ns.degree <= 8:
         raise CliParseError("--degree must be in 0..8")
-    if len(point) > ns.depth_cap:
-        raise CliParseError(f"depth {len(point)} exceeds --depth-cap {ns.depth_cap}")
+    _check_depth(len(point), ns)
     series = stieltjes.reg_series(point, ns.degree, ns.digits, star=ns.star)
     coeffs = {
         ",".join(map(str, ks)): _fmt(v, ns.digits)

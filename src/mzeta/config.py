@@ -10,6 +10,7 @@ import mpmath
 from mpmath import mp
 
 DEFAULT_MAX_N = 2**20
+MIN_MAX_N = 16  # the least cap, and the first level of the zeta-value schedule
 DEPTH_CAP = 6
 
 
@@ -26,8 +27,13 @@ def to_mpc(x) -> mpmath.mpc:
     return mp.mpc(x)
 
 
+def check_depth(depth: int) -> None:
+    if depth > DEPTH_CAP:
+        raise ValueError(f"depth {depth} exceeds the cap {DEPTH_CAP}")
+
+
 def max_n() -> int:
-    """Summation cap; the MZETA_MAX_N environment variable overrides it."""
+    """Summation cap, past which no sweep sums; MZETA_MAX_N overrides it."""
     raw = os.environ.get("MZETA_MAX_N")
     if raw is None:
         return DEFAULT_MAX_N
@@ -35,8 +41,8 @@ def max_n() -> int:
         value = int(raw)
     except ValueError:
         raise ValueError(f"MZETA_MAX_N must be an integer, got {raw!r}") from None
-    if value < 2:
-        raise ValueError("MZETA_MAX_N must be >= 2")
+    if value < MIN_MAX_N:
+        raise ValueError(f"MZETA_MAX_N must be >= {MIN_MAX_N}")
     return value
 
 

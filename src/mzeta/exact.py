@@ -59,14 +59,14 @@ def bernoulli_ratios(n: int, star: bool = False) -> tuple[Fraction, ...]:
 
 @memo(key=lambda n: n)
 def _stirling_row(n: int) -> tuple[int, ...]:
-    """(s(n, 0), .., s(n, n)), by s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)."""
-    if n == 0:
-        return (1,)
-    if n - 1 not in _stirling_row.cache:  # cold: fill the rows below, lowest first
-        for m in range(n - 1):
-            _stirling_row(m)
-    prev = (*_stirling_row(n - 1), 0)
-    return tuple((prev[k - 1] if k else 0) - (n - 1) * prev[k] for k in range(n + 1))
+    """(s(n, 0), .., s(n, n)), by s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k) from the
+    nearest memoised row below, in a local loop: only rows asked for are kept."""
+    start = max((m for m in _stirling_row.cache if m < n), default=0)
+    row = _stirling_row.cache.get(start, (1,))
+    for m in range(start + 1, n + 1):
+        prev = (*row, 0)
+        row = tuple((prev[k - 1] if k else 0) - (m - 1) * prev[k] for k in range(m + 1))
+    return row
 
 
 def stirling_first(n: int, k: int) -> int:

@@ -26,20 +26,6 @@ from .errors import TailNotConvergingError
 from .stuffle import deduce_sequence, enumerate_stufflings, f_rational, inversion_sign
 from .stieltjes import index_set
 
-IDENTITY_NAMES = (
-    "comb-form-1",
-    "comb-form-2",
-    "comb-form-cor",
-    "reg-exp",
-    "inverse-exp",
-    "gen-reg-exp",
-    "gen-reg-exp-star",
-    "reg-stuffle",
-    "limits-origin",
-    "unicity",
-)
-
-
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
@@ -229,14 +215,8 @@ def check_gen_reg_exp(
     with mp.workdps(mzv.working_dps(digits + 6)):
         lhs = _reg_eval(point, s, digits, star=star)
         rhs = mzv.reg_via_tails(point, s, digits + 2, star=star)
-    return _check(
-        "gen-reg-exp-star" if star else "gen-reg-exp",
-        params,
-        lhs,
-        rhs,
-        digits,
-        len(point) + 1,
-    )
+    name = "gen-reg-exp-star" if star else "gen-reg-exp"
+    return _check(name, params, lhs, rhs, digits, len(point) + 1)
 
 
 # -- origin limits -------------------------------------------------------------
@@ -310,23 +290,11 @@ def check_limits_at_origin(digits: int = 10) -> list[IdentityCheck]:
             zeta_suffix = g0 + mp.mpf(1) / 2  # zeta(0) from Reg_(0): gamma_0^(0) + B_1*
             value = g00 + zeta_suffix * mp.mpf(corr1.numerator) / corr1.denominator
             value -= to_mpf(corr2)
-            out.append(
-                _check(
-                    "limits-origin",
-                    {"limit": tag, "expect": expect},
-                    value,
-                    to_mpf(expect),
-                    digits,
-                    3,
-                )
-            )
+            params = {"limit": tag, "expect": expect}
+            out.append(_check("limits-origin", params, value, to_mpf(expect), digits, 3))
         # the same constants feed the closed values at the center
-        out.append(
-            _check("limits-origin", {"limit": "gamma00(0,0)"}, g00, 1, digits, 1)
-        )
-        out.append(
-            _check("limits-origin", {"limit": "gamma0(0)"}, g0, -1, digits, 1)
-        )
+        out.append(_check("limits-origin", {"limit": "gamma00(0,0)"}, g00, 1, digits, 1))
+        out.append(_check("limits-origin", {"limit": "gamma0(0)"}, g0, -1, digits, 1))
     return out
 
 
@@ -393,14 +361,8 @@ def check_unicity(depth: int, seed: int, digits: int = 10) -> IdentityCheck:
             max_abs = max(max_abs, abs(total))
     threshold = mp.mpf("1e-6")
     gap = max(mp.zero, threshold - max_abs)
-    return IdentityCheck(
-        "unicity",
-        {"depth": depth, "seed": seed, "max_abs": mpmath.nstr(max_abs, 6)},
-        max_abs,
-        threshold,
-        gap,
-        mp.zero,
-    )
+    params = {"depth": depth, "seed": seed, "max_abs": mpmath.nstr(max_abs, 6)}
+    return IdentityCheck("unicity", params, max_abs, threshold, gap, mp.zero)
 
 
 # -- identity families and the runner ------------------------------------------
@@ -424,14 +386,6 @@ def _comb_form_family(variant: str, seed: int, digits: int) -> list[IdentityChec
     return out
 
 
-_EXP_POINTS = {
-    "reg-exp": [(1,), (1, 1), (2, 0), (1, 2), (2, 0, 1)],
-    "inverse-exp": [(1,), (1, 1), (1, 2), (2, 0), (1, 1, 1), (2, 0, 1)],
-    "gen-reg-exp": [(1,), (0,), (-1,), (2, 0), (0, 0), (2, 0, 1)],
-    "gen-reg-exp-star": [(1,), (0,), (0, 0)],
-}
-
-
 def _offsets_for_point(rng: random.Random, point: tuple[int, ...]) -> tuple[Fraction, ...]:
     if len(point) <= 2:
         return _seeded_offsets(rng, len(point), 0.03, 0.1)
@@ -439,45 +393,49 @@ def _offsets_for_point(rng: random.Random, point: tuple[int, ...]) -> tuple[Frac
     return _seeded_offsets(rng, len(point), 0.02, 0.04)
 
 
+def _at_points(check, *points):
+    # the power-series side is truncation-limited at the capped degree for
+    # offsets of 0.03-0.1 per coordinate, so the tolerance schedule for these
+    # families anchors at eight digits (the acceptance bound)
+    return lambda rng, seed, digits: [
+        check(point, _offsets_for_point(rng, point), min(digits, 8)) for point in points
+    ]
+
+
+def _reg_stuffle_family(rng: random.Random, seed: int, digits: int) -> list[IdentityCheck]:
+    return [
+        check_reg_stuffle(a, b, _offsets_for_point(rng, a), _offsets_for_point(rng, b), min(digits, 8))
+        for a, b in (((1,), (1,)), ((1,), (2,)), ((), (2,)), ((1, 1), (2,)))
+    ]
+
+
+# name -> family(rng, seed, digits), in the order the families are listed and
+# timed; each check is looked up by its module name when the family runs
+_FAMILIES = {
+    "comb-form-1": lambda rng, seed, digits: _comb_form_family("strict_1", seed, digits),
+    "comb-form-2": lambda rng, seed, digits: _comb_form_family("star_2", seed, digits),
+    "comb-form-cor": lambda rng, seed, digits: _comb_form_family("cor", seed, digits),
+    "reg-exp": _at_points(lambda *a: check_reg_exp(*a), (1,), (1, 1), (2, 0), (1, 2), (2, 0, 1)),
+    "inverse-exp": _at_points(
+        lambda *a: check_inverse_exp(*a), (1,), (1, 1), (1, 2), (2, 0), (1, 1, 1), (2, 0, 1)
+    ),
+    "gen-reg-exp": _at_points(
+        lambda *a: check_gen_reg_exp(*a), (1,), (0,), (-1,), (2, 0), (0, 0), (2, 0, 1)
+    ),
+    "gen-reg-exp-star": _at_points(lambda *a: check_gen_reg_exp(*a, star=True), (1,), (0,), (0, 0)),
+    "reg-stuffle": _reg_stuffle_family,
+    "limits-origin": lambda rng, seed, digits: check_limits_at_origin(digits),
+    "unicity": lambda rng, seed, digits: [check_unicity(d, seed, digits) for d in (1, 2, 3)],
+}
+IDENTITY_NAMES = tuple(_FAMILIES)
+
+
 def run_identity(name: str, seed: int = 42, digits: int = 10) -> list[IdentityCheck]:
     """Run the default instance family of one identity."""
-    rng = random.Random(seed * 31337 + sum(map(ord, name)))
-    if name == "comb-form-1":
-        return _comb_form_family("strict_1", seed, digits)
-    if name == "comb-form-2":
-        return _comb_form_family("star_2", seed, digits)
-    if name == "comb-form-cor":
-        return _comb_form_family("cor", seed, digits)
-    if name in ("reg-exp", "inverse-exp", "gen-reg-exp", "gen-reg-exp-star"):
-        # the power-series side is truncation-limited at the capped degree
-        # for offsets of 0.03-0.1 per coordinate, so the tolerance schedule
-        # for these families anchors at eight digits (the acceptance bound)
-        eff = min(digits, 8)
-        out = []
-        for point in _EXP_POINTS[name]:
-            offs = _offsets_for_point(rng, point)
-            if name == "reg-exp":
-                out.append(check_reg_exp(point, offs, eff))
-            elif name == "inverse-exp":
-                out.append(check_inverse_exp(point, offs, eff))
-            else:
-                out.append(
-                    check_gen_reg_exp(point, offs, eff, star=name.endswith("star"))
-                )
-        return out
-    if name == "reg-stuffle":
-        eff = min(digits, 8)
-        out = []
-        for a, b in (((1,), (1,)), ((1,), (2,)), ((), (2,)), ((1, 1), (2,))):
-            s_off = _offsets_for_point(rng, a)
-            t_off = _offsets_for_point(rng, b)
-            out.append(check_reg_stuffle(a, b, s_off, t_off, eff))
-        return out
-    if name == "limits-origin":
-        return check_limits_at_origin(digits)
-    if name == "unicity":
-        return [check_unicity(depth, seed, digits) for depth in (1, 2, 3)]
-    raise ValueError(f"unknown identity: {name}")
+    family = _FAMILIES.get(name)
+    if family is None:
+        raise ValueError(f"unknown identity: {name}")
+    return family(random.Random(seed * 31337 + sum(map(ord, name))), seed, digits)
 
 
 def verify(

@@ -34,7 +34,7 @@ from mpmath import mp
 from mpmath.libmp import fone, from_int, fzero, mpc_add, mpc_mul, mpc_one, mpc_pow
 from mpmath.libmp import mpc_zero, mpf_add, mpf_log, mpf_mul, mpf_pow_int
 
-from .config import DEPTH_CAP, max_n, memo, to_mpc, to_mpf
+from .config import MIN_MAX_N, check_depth, max_n, memo, to_mpc, to_mpf
 from .errors import (
     PolarPointError,
     PoleProximityError,
@@ -55,44 +55,49 @@ def working_dps(digits: int) -> int:
 
 
 def _is_exact(x) -> bool:
-    return isinstance(x, int) or (isinstance(x, Fraction))
+    return isinstance(x, (int, Fraction))
+
+
+def _factor_name(i: int) -> str:
+    return {1: "s1", 2: "s1+s2"}.get(i, f"s1+..+s{i}")
+
+
+def _is_polar_integer(i: int, c) -> bool:
+    """Whether s1+..+si = c is a polar hyperplane: c = 1 for i = 1,
+    c in {2, 1, 0, -2, -4, ...} for i = 2, c <= i for i >= 3."""
+    if i == 2:
+        return c in (2, 1, 0) or (c <= -2 and c % 2 == 0)
+    return c == 1 if i == 1 else c <= i
+
+
+def _pole_gap(x, c, refusal=None):
+    """x - c; but within POLE_TOL of the pole c, None, or a PoleProximityError
+    with the message ``refusal()`` when that is given."""
+    gap = x - c
+    if abs(gap) < POLE_TOL:
+        if refusal:
+            raise PoleProximityError(refusal())
+        return None
+    return gap
 
 
 def polar_description(s: Sequence) -> str | None:
-    """Exact or numeric test against the singular set of the continuation.
-
-    Simple polar hyperplanes: s1 = 1; s1+s2 = 2, 1, 0, -2, -4, ...;
-    s1+..+si = i - n (n >= 0) for 3 <= i <= depth.
-    """
-    r = len(s)
-    if r == 0:
-        return None
-    if all(_is_exact(x) for x in s):
-        prefix = Fraction(0)
-        for i, x in enumerate(s, start=1):
-            prefix += Fraction(x)
-            if i == 1 and prefix == 1:
-                return "polar hyperplane s1=1"
-            if i == 2 and (prefix in (2, 1, 0) or (prefix <= -2 and prefix.denominator == 1 and prefix % 2 == 0)):
-                return f"polar hyperplane s1+s2={prefix}"
-            if i >= 3 and prefix.denominator == 1 and prefix <= i:
-                return f"polar hyperplane s1+..+s{i}={prefix}"
-        return None
-    prefix_c = mp.mpc(0)
+    """The polar hyperplane that s lies on, or None: for an all-exact s, a
+    prefix sum equals a polar integer; otherwise it is within the pole
+    tolerance of one."""
+    exact = all(_is_exact(x) for x in s)
+    prefix = Fraction(0) if exact else mp.mpc(0)
     for i, x in enumerate(s, start=1):
-        prefix_c += to_mpc(x)
-        if i == 1:
-            if abs(prefix_c - 1) < POLE_TOL:
-                return "polar hyperplane s1=1"
-        elif i == 2:
-            near = round(float(prefix_c.real))
-            candidates = {2, 1, 0} | ({near} if near <= -2 and near % 2 == 0 else set())
-            if any(abs(prefix_c - c) < POLE_TOL for c in candidates):
-                return "polar hyperplane on s1+s2"
+        if exact:
+            prefix += Fraction(x)
+            c, on = prefix, prefix.denominator == 1
         else:
-            near = round(float(prefix_c.real))
-            if near <= i and abs(prefix_c - near) < POLE_TOL:
-                return f"polar hyperplane on s1+..+s{i}"
+            prefix += to_mpc(x)
+            c = round(float(prefix.real))
+            on = _pole_gap(prefix, c) is None
+        if on and _is_polar_integer(i, c):
+            where = f"{_factor_name(i)}={c}" if exact or i == 1 else f"on {_factor_name(i)}"
+            return f"polar hyperplane {where}"
     return None
 
 
@@ -263,14 +268,14 @@ class _TailNode:
     def advance(self, k: int):
         """Chain product times (x)_(k-1), for k one above the last call's."""
         if k == 0:
-            if abs(self.x - 1) < POLE_TOL:
-                j = self.depth + 1
-                factor = {1: "s1", 2: "s1+s2"}.get(j, f"s1+..+s{j}")
-                factor += f"+{self.pref_k}-{j}" if self.pref_k else f"-{j}"
-                raise PoleProximityError(f"reciprocal factor 1/({factor}) is singular")
-            return self.chain / (self.x - 1)
+            return self.chain / _pole_gap(self.x, 1, self._refusal)
         self.run = self.chain if k == 1 else self.run * (self.x + (k - 2))
         return self.run
+
+    def _refusal(self) -> str:
+        j = self.depth + 1
+        shift = f"+{self.pref_k}-{j}" if self.pref_k else f"-{j}"
+        return f"reciprocal factor 1/({_factor_name(j)}{shift}) is singular"
 
 
 def zeta_tail(
@@ -334,8 +339,7 @@ def zeta_value_with_error(
     """Continued (star) multiple zeta value with a tail error estimate."""
     _check_variant(variant)
     r = len(s)
-    if r > DEPTH_CAP:
-        raise ValueError(f"depth {r} exceeds cap {DEPTH_CAP}")
+    check_depth(r)
     if r == 0:
         return mp.mpc(1), mp.zero
     if variant == "star" and r == 1:
@@ -367,7 +371,7 @@ def zeta_value(s: Sequence, digits: int = 12, variant: str = "strict") -> mpmath
 
 def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
     target = mp.mpf(10) ** (-(digits + 2))
-    n_level, k_order = 16, 4
+    n_level, k_order = MIN_MAX_N, 4  # the least cap: no level passes the cap
     cap = max_n()
     with mp.workdps(working_dps(digits)):
         while True:
@@ -400,21 +404,22 @@ def zeta_tail_via_values(
     """Tail from continued values and truncations, no expansion involved.
 
     Partitions the full sum by how many indices reach the threshold:
-    zeta = sum_j tail(s[:j]) * truncation(s[j:]), then solves for the
-    deepest tail recursively.  Serves as an independent route (and the
-    fallback when the asymptotic tail cannot reach tolerance at small N).
+    zeta = sum_j tail(s[:j]) * truncation(s[j:]), and solves for the tail
+    of each prefix in turn, shallowest first: r values and r sweeps.  Serves
+    as an independent route (and the fallback when the asymptotic tail
+    cannot reach tolerance at small N).
     """
     _check_variant(variant)
-    r = len(s)
-    if r == 0:
-        return mp.mpc(1)
     top = n_from + 1 if variant == "strict" else n_from
-    value = zeta_value(s, digits + 4, variant)
-    truncations = nested_sums(s, (top,), star=variant == "star")[1]
-    total = value - truncations[0]
-    for j in range(1, r):
-        total -= zeta_tail_via_values(s[:j], n_from, digits, variant) * truncations[j]
-    return total
+    tails = [mp.mpc(1)]
+    for r in range(1, len(s) + 1):
+        value = zeta_value(s[:r], digits + 4, variant)
+        truncations = nested_sums(s[:r], (top,), star=variant == "star")[1]
+        total = value - truncations[0]
+        for j in range(1, r):
+            total -= tails[j] * truncations[j]
+        tails.append(total)
+    return tails[-1]
 
 
 def zeta_partial_derivative(
@@ -509,11 +514,9 @@ def reg_correction_term(
             x = pref_s + pref_k
             k = ks[j - 1]
             if k == -1:
-                if abs(x - 1) < POLE_TOL:
-                    raise PoleProximityError(
-                        f"regularised correction factor at prefix depth {j} is singular"
-                    )
-                chain /= x - 1
+                chain /= _pole_gap(
+                    x, 1, lambda: f"regularised correction factor at prefix depth {j} is singular"
+                )
             else:
                 for t in range(k):
                     chain *= x + t

@@ -31,7 +31,7 @@ import mpmath
 from mpmath import mp
 
 from . import mzv
-from .config import DEPTH_CAP, max_n, memo, to_mpc, to_mpf
+from .config import check_depth, max_n, memo, to_mpc, to_mpf
 from .errors import PrecisionUnreachableError
 from .exact import compositions
 from .partial_sums import abs_cell_magnitude, schedule_n, sum_sequence
@@ -43,8 +43,7 @@ OrderIndex = tuple[int, ...]
 
 def as_point(coords: Iterable[int]) -> IntPoint:
     pt = tuple(int(c) for c in coords)
-    if len(pt) > DEPTH_CAP:
-        raise ValueError(f"depth {len(pt)} exceeds the cap {DEPTH_CAP}")
+    check_depth(len(pt))
     return pt
 
 
@@ -89,7 +88,13 @@ def parse_gamma_atom(name: str) -> tuple[IntPoint, OrderIndex, bool]:
 
 
 def _point_order(point: Sequence[int], order: Sequence[int]) -> tuple[IntPoint, OrderIndex]:
-    return as_point(point), tuple(int(k) for k in order)
+    """Point and order, refused unless of one depth (within the cap) and >= 0."""
+    point, order = as_point(point), tuple(int(k) for k in order)
+    if len(point) != len(order):
+        raise ValueError("point and order must have equal depth")
+    if any(k < 0 for k in order):
+        raise ValueError("order entries must be >= 0")
+    return point, order
 
 
 @memo(
@@ -105,8 +110,6 @@ def asymptotic_expansion(
     :func:`gamma_atom`, every other cell is exact apart from lower-depth
     gamma atoms."""
     point, order = _point_order(point, order)
-    if len(point) != len(order):
-        raise ValueError("point and order must have equal depth")
     if not point:
         series = ScaleSeries.one()
     else:
@@ -143,8 +146,6 @@ def truncated_log_sum(
     O(depth) memory.
     """
     point, order = _point_order(point, order)
-    if len(point) != len(order):
-        raise ValueError("point and order must have equal depth")
     return mzv.nested_sums(point, (n_top,), order, star)[0][0]
 
 
@@ -185,7 +186,8 @@ def _constant_by_extrapolation(
     if not point:
         return mp.one, mp.zero
     target = 0.25 * 10.0 ** (-(digits + 2))
-    n_top = schedule_n(digits)
+    # each level sums to 2N, so no level sums past the cap
+    n_top = min(schedule_n(digits), max_n() // 2)
     while True:
         series = None
         for probe in _A_PROBES:

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzeta
+from mzeta import mzv
 from mzeta.cli import main
-from mzeta.mzv import DEPTH_CAP
+from mzeta.config import DEPTH_CAP
+from mzeta.mzv import nested_sums
 
 SRC = str(Path(mzeta.__file__).resolve().parents[1])
 
@@ -111,6 +113,13 @@ class TestZetaCommand:
         code, _, _ = run_cli(capsys, "zeta", "--args", "2;1")
         assert code == 2
 
+    @pytest.mark.parametrize("args", ["1{z}+1i", "1{z}+1i,2", "2,1.5-1{z}i"])
+    def test_complex_beyond_float_range_is_parse_error(self, capsys, args):
+        code, out, err = run_cli(capsys, "zeta", f"--args={args.format(z='0' * 400)}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: complex number") and err.endswith("is out of range\n")
+
     def test_max_n_env_bounds_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("MZETA_MAX_N", "64")
         code, _, err = run_cli(
@@ -125,13 +134,38 @@ class TestZetaCommand:
         assert code == 3
         assert "did not reach" in err
 
-    @pytest.mark.parametrize("raw", ["abc", "1"])
+    @pytest.mark.parametrize("raw", ["abc", "1", "2", "15"])
     def test_bad_max_n_env_is_parse_error(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("MZETA_MAX_N", raw)
         code, out, err = run_cli(capsys, "zeta", "--args=2.5,1.5")
         assert code == 2
         assert out == ""
         assert err.startswith("error: MZETA_MAX_N must be")
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["stieltjes", "--point=1", "--order=0", "--digits=12"], 64),
+            (["stieltjes", "--point=1", "--order=0", "--digits=12", "--star"], 64),
+            (["zeta", "--args=2", "--digits=5"], 16),
+            (["zeta", "--args=2", "--digits=5"], 17),
+        ],
+    )
+    def test_no_sweep_passes_the_cap(self, capsys, monkeypatch, argv, cap):
+        last = []
+
+        def spy(s, tops, *args, **kwargs):
+            last.append(max(tops) - 1)  # the largest index summed
+            return nested_sums(s, tops, *args, **kwargs)
+
+        monkeypatch.setenv("MZETA_MAX_N", str(cap))
+        monkeypatch.setattr(mzv, "nested_sums", spy)
+        mzv.zeta_value_with_error.cache.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code in (0, 3)
+        assert last and max(last) <= cap
+        if "--star" not in argv:  # a star sum's top bound N + 1 sums n <= N
+            assert max(last) < cap
 
     def test_depth_cap_above_value_cap_is_parse_error(self, capsys):
         too_deep = ",".join(["1"] * (DEPTH_CAP + 1))
@@ -391,10 +425,18 @@ def cheap_command_lines(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(argv=cheap_command_lines())
-def test_fuzzed_cheap_requests_exit_zero_to_four_without_a_traceback(argv):
+@given(argv=cheap_command_lines(), max_n=st.sampled_from((None, "16", "17", "64", "1000")))
+def test_fuzzed_cheap_requests_exit_zero_to_four_without_a_traceback(argv, max_n):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    saved = os.environ.pop("MZETA_MAX_N", None)
+    if max_n is not None:
+        os.environ["MZETA_MAX_N"] = max_n
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.environ.pop("MZETA_MAX_N", None)
+        if saved is not None:
+            os.environ["MZETA_MAX_N"] = saved
     assert code in range(5), (argv, code)
     assert bool(out.getvalue()) == (code in (0, 1)), argv

@@ -219,6 +219,18 @@ class TestTableOracle:
             for fn in memos:
                 fn.cache.clear()
 
+    def test_cold_stirling_row_memoises_only_the_rows_asked_for(self):
+        exact._stirling_row.cache.clear()
+        try:
+            assert stirling_first(1100, 550) != 0
+            assert set(exact._stirling_row.cache) == {1100}
+            # a lower row starts from scratch, a higher one from row 1100
+            assert stirling_first(40, 3) == _old_stirling_table(40)[40][3]
+            assert stirling_first(1102, 1101) == -comb(1102, 2)
+            assert set(exact._stirling_row.cache) == {40, 1100, 1102}
+        finally:
+            exact._stirling_row.cache.clear()
+
 
 class TestCompositions:
     def test_matches_the_filtered_product(self):

@@ -14,6 +14,7 @@ from mzeta.mzv import (
     K_CAP,
     POLE_TOL,
     _tail_auto,
+    nested_sums,
     polar_description,
     reg_via_tails,
     zeta_partial_derivative,
@@ -676,3 +677,155 @@ def test_richardson_partial_is_the_derivative_and_its_correction():
         deriv, err = mzv.richardson_partial(fn, center, (1, 1), h)
         assert deriv == (4 * d_h2 - d_h) / 3 and err == abs(d_h2 - d_h) / 3
         assert abs(deriv - 12 * mp.exp(3)) < 1e-9
+
+
+# -- reference: the two-branch polar test ------------------------------------
+#
+# The polar test before the polar integers and the pole tolerance each had one
+# home: an exact branch and a numeric branch, each with its own list of the
+# hyperplanes.  polar_description must return the same strings.
+
+
+def _two_branch_polar_description(s):
+    r = len(s)
+    if r == 0:
+        return None
+    if all(isinstance(x, (int, Fraction)) for x in s):
+        prefix = Fraction(0)
+        for i, x in enumerate(s, start=1):
+            prefix += Fraction(x)
+            if i == 1 and prefix == 1:
+                return "polar hyperplane s1=1"
+            if i == 2 and (prefix in (2, 1, 0) or (prefix <= -2 and prefix.denominator == 1 and prefix % 2 == 0)):
+                return f"polar hyperplane s1+s2={prefix}"
+            if i >= 3 and prefix.denominator == 1 and prefix <= i:
+                return f"polar hyperplane s1+..+s{i}={prefix}"
+        return None
+    prefix_c = mp.mpc(0)
+    for i, x in enumerate(s, start=1):
+        prefix_c += to_mpc(x)
+        if i == 1:
+            if abs(prefix_c - 1) < POLE_TOL:
+                return "polar hyperplane s1=1"
+        elif i == 2:
+            near = round(float(prefix_c.real))
+            candidates = {2, 1, 0} | ({near} if near <= -2 and near % 2 == 0 else set())
+            if any(abs(prefix_c - c) < POLE_TOL for c in candidates):
+                return "polar hyperplane on s1+s2"
+        else:
+            near = round(float(prefix_c.real))
+            if near <= i and abs(prefix_c - near) < POLE_TOL:
+                return f"polar hyperplane on s1+..+s{i}"
+    return None
+
+
+def _as_kind(value, kind, imag):
+    """``value`` (a Fraction) as an int, a Fraction, a float or an mpc."""
+    if kind == "int" and value.denominator == 1:
+        return int(value)
+    if kind == "float":
+        return float(value)
+    if kind == "mpc":
+        return mp.mpc(float(value), imag)
+    return value
+
+
+def _polar_grid(rng):
+    """Points of depth 0-6 with one prefix sum put on, 1e-13 off or 1e-11
+    off a polar integer (or a near miss), the other coordinates random."""
+    offsets = (Fraction(0), Fraction(1, 10**13), -Fraction(1, 10**11), Fraction(1, 10**11))
+    for depth in range(7):
+        for _ in range(70):
+            kinds = rng.choice(
+                (["int"], ["frac"], ["float"], ["mpc"], ["int", "frac"], ["int", "mpc"], ["frac", "float", "mpc"])
+            )
+            i = rng.randint(1, depth) if depth else 0
+            c = {1: rng.choice((1, 0, 2)), 2: rng.choice((2, 1, 0, -1, -2, -3, -4, 3))}.get(
+                i, rng.choice((i, i - 1, i - 3, -2, i + 1))
+            )
+            target = c + rng.choice(offsets)
+            point, total = [], Fraction(0)
+            for j in range(1, depth + 1):
+                value = target - total if j == i else Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4)))
+                imag = rng.choice((0.0, 0.0, 1e-13, 0.5))
+                x = _as_kind(value, rng.choice(kinds), imag)
+                point.append(x)
+                total += Fraction(float(to_mpc(x).real)) if not isinstance(x, (int, Fraction)) else Fraction(x)
+            yield tuple(point)
+
+
+def test_polar_description_matches_the_two_branch_test():
+    seen = set()
+    for point in _polar_grid(random.Random(8)):
+        got = polar_description(point)
+        assert got == _two_branch_polar_description(point), point
+        seen.add(got.split("=")[0].split(" on ")[-1] if got else None)
+    # every hyperplane family, both forms of the message, and misses occur
+    assert {None, "polar hyperplane s1", "polar hyperplane s1+s2", "s1+s2"} <= seen
+    assert {"polar hyperplane s1+..+s3", "s1+..+s6"} <= seen
+
+
+def test_correction_pole_message():
+    with pytest.raises(PoleProximityError, match=r"^regularised correction factor at prefix depth 1 is singular$"):
+        mzv.reg_correction_term((1,), (1 + mp.mpf(10) ** -14,))
+
+
+def test_depth_above_the_cap_is_refused():
+    with pytest.raises(ValueError, match=r"^depth 7 exceeds the cap 6$"):
+        zeta_value_with_error((2,) * 7, 5)
+
+
+# -- reference: the recursive partition route ---------------------------------
+#
+# zeta_tail_via_values once solved for the deepest tail and recursed into
+# every shallower one, recomputing each 2^(r-1-j) times.  The one pass,
+# shallowest first, must return bit-identical tails.
+
+
+def _recursive_tail_via_values(s, n_from, digits, variant):
+    r = len(s)
+    if r == 0:
+        return mp.mpc(1)
+    top = n_from + 1 if variant == "strict" else n_from
+    value = zeta_value(s, digits + 4, variant)
+    truncations = mzv.nested_sums(s, (top,), star=variant == "star")[1]
+    total = value - truncations[0]
+    for j in range(1, r):
+        total -= _recursive_tail_via_values(s[:j], n_from, digits, variant) * truncations[j]
+    return total
+
+
+class TestTailViaValuesOracle:
+    def test_matches_the_recursion(self):
+        rng = random.Random(11)
+        cases = 0
+        while cases < 24:
+            depth = rng.randint(1, 3)
+            s = _random_point(rng, depth)
+            if polar_description(s) is not None:
+                continue
+            variant = rng.choice(("strict", "star"))
+            n_from, digits = rng.choice((2, 5, 10)), rng.randint(10, 20)
+            with mp.workdps(digits + 10):
+                try:
+                    got = zeta_tail_via_values(s, n_from, digits, variant)
+                except (PolarPointError, PoleProximityError):
+                    continue
+                expect = _recursive_tail_via_values(s, n_from, digits, variant)
+            assert got._mpc_ == expect._mpc_, (s, n_from, digits, variant)
+            cases += 1
+
+    def test_one_sweep_per_prefix(self, monkeypatch):
+        s = (Fraction(5, 2), Fraction(3, 2), 2)
+        for r in (1, 2, 3):
+            zeta_tail_via_values(s[:r], 5, 10, "strict")  # the values are memoised
+            calls = []
+
+            def spy(*args, **kwargs):
+                calls.append(args[0])
+                return nested_sums(*args, **kwargs)
+
+            monkeypatch.setattr(mzv, "nested_sums", spy)
+            zeta_tail_via_values(s[:r], 5, 10, "strict")
+            monkeypatch.undo()
+            assert [len(p) for p in calls] == list(range(1, r + 1))

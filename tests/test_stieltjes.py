@@ -147,6 +147,27 @@ class TestStieltjesConstant:
         with pytest.raises(ValueError, match=f"depth {DEPTH_CAP + 1} exceeds the cap"):
             as_point([1] * (DEPTH_CAP + 1))
 
+    @pytest.mark.parametrize("method", ["extrapolation", "closed_form_assembly"])
+    @pytest.mark.parametrize(
+        "point, order, message",
+        [
+            ((3, 2), (1,), "point and order must have equal depth"),
+            ((1,), (1, 0), "point and order must have equal depth"),
+            ((2,), (-1,), "order entries must be >= 0"),
+            ((3, 2), (0, -1), "order entries must be >= 0"),
+        ],
+    )
+    def test_bad_shapes_and_orders_are_refused(self, method, point, order, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            stieltjes_constant(point, order, 8, method=method)
+
+    def test_sums_and_expansions_refuse_bad_shapes_and_orders(self):
+        for fn in (lambda p, k: truncated_log_sum(p, k, 10), lambda p, k: asymptotic_expansion(p, k, 2)):
+            with pytest.raises(ValueError, match="equal depth"):
+                fn((3, 2), (1,))
+            with pytest.raises(ValueError, match=">= 0"):
+                fn((2,), (-1,))
+
     def test_doubling_stability(self):
         from mzeta.stieltjes import _constant_by_extrapolation
 
