@@ -266,15 +266,11 @@ def main(argv: list[str] | None = None) -> int:
         _validate_config(ns)
         with mp.workdps(ns.digits + 10):
             return ns.run(ns)
-    except CliParseError as exc:
+    except (CliParseError, PolarPointError, PrecisionUnreachableError, PoleProximityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PolarPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POLAR
-    except (PrecisionUnreachableError, PoleProximityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
+        if isinstance(exc, CliParseError):
+            return EXIT_PARSE
+        return EXIT_POLAR if isinstance(exc, PolarPointError) else EXIT_PRECISION
 
 
 if __name__ == "__main__":

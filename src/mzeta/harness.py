@@ -58,13 +58,10 @@ def _fmt_c(z, digits: int) -> str:
     return f"{mpmath.nstr(z.real, digits)}{'+' if z.imag >= 0 else '-'}{mpmath.nstr(abs(z.imag), digits)}j"
 
 
-def _tolerance(digits: int, n_terms: int) -> mpmath.mpf:
-    return mp.mpf(10) ** (2 - digits) * max(1, n_terms)
-
-
 def _check(name, params, lhs, rhs, digits, n_terms) -> IdentityCheck:
     lhs, rhs = mp.mpc(lhs), mp.mpc(rhs)
-    return IdentityCheck(name, params, lhs, rhs, abs(lhs - rhs), _tolerance(digits, n_terms))
+    tolerance = mp.mpf(10) ** (2 - digits) * max(1, n_terms)
+    return IdentityCheck(name, params, lhs, rhs, abs(lhs - rhs), tolerance)
 
 
 # -- seeded sampling ---------------------------------------------------------

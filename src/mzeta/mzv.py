@@ -296,18 +296,13 @@ def _tail_auto(
     """Grow the tail order until the first omitted shell is below tolerance."""
     target = mp.mpf(10) ** (-(digits + 2))
     shells = _TailShells(s, n_from, variant)
-    best: tuple[mpmath.mpc, mpmath.mpf] | None = None
+    best = mp.inf
     for k_order in range(4, K_CAP + 1, 2):
         value, est = shells.truncate(k_order)
         if est < target:
             return value, est
-        if best is None or est < best[1]:
-            best = (value, est)
-    raise TailNotConvergingError(
-        f"tail at N={n_from} stalls at estimate {mpmath.nstr(best[1])}"
-        if best
-        else f"tail at N={n_from} does not converge"
-    )
+        best = min(best, est)
+    raise TailNotConvergingError(f"tail at N={n_from} stalls at estimate {mpmath.nstr(best)}")
 
 
 # -- continued values --------------------------------------------------------
@@ -332,7 +327,11 @@ def _exact_key(x):
     return type(x).__name__, getattr(x, "_mpf_", None) or getattr(x, "_mpc_", x)
 
 
-@memo(key=lambda s, digits=12, variant="strict": (tuple(map(_exact_key, s)), digits, variant))
+@memo(
+    key=lambda s, digits=12, variant="strict": (
+        tuple(map(_exact_key, s)), digits, variant, max_n()
+    )
+)
 def zeta_value_with_error(
     s: Sequence, digits: int = 12, variant: str = "strict"
 ) -> tuple[mpmath.mpc, mpmath.mpf]:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .config import memo
+from .config import max_n, memo
 from .errors import InsufficientPrecisionError
 from .exact import bernoulli_ratios
 from .scale import INF, Cell, Coeff, ScaleSeries
@@ -147,9 +147,9 @@ def sum_sequence(v: ScaleSeries, precision: int) -> ScaleSeries:
 
 
 def schedule_n(digits: int) -> int:
-    """Deterministic summation limit for a requested digit count; the
-    caller keeps it under the cap."""
-    return 2 ** max(6, math.ceil((digits + 4) / 3))
+    """First level N of the constant engine: near the digit count, at least
+    64, and at most half the cap, since each level also sums to 2N."""
+    return min(max(64, 1 << (digits - 1).bit_length()), max_n() // 2)
 
 
 def abs_cell_magnitude(series: ScaleSeries, order: int, n: int) -> float:

@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -35,7 +35,7 @@ from .config import check_depth, max_n, memo, to_mpc, to_mpf
 from .errors import PrecisionUnreachableError
 from .exact import compositions
 from .partial_sums import abs_cell_magnitude, schedule_n, sum_sequence
-from .scale import Coeff, ScaleSeries
+from .scale import INF, Coeff, ScaleSeries
 
 IntPoint = tuple[int, ...]
 OrderIndex = tuple[int, ...]
@@ -151,22 +151,20 @@ def truncated_log_sum(
 
 # -- numeric resolution ------------------------------------------------------
 
-_atom_cache: dict[str, tuple[int, mpmath.mpf]] = {}
-
-_A_PROBES = (8, 14, 20)
+_atom_cache: dict[str, tuple[int, int, mpmath.mpf]] = {}  # name -> (cap, digits, value)
 
 
 def resolve_atom(name: str, digits: int) -> mpmath.mpf:
     """Numeric value of a constant atom ``g(..)``/``gs(..)`` of
     :func:`gamma_atom`, by extrapolation.
 
-    A value resolved earlier to at least ``digits`` digits is reused.
+    A value resolved earlier to at least ``digits`` digits, under the same cap, is reused.
     """
     hit = _atom_cache.get(name)
-    if hit is not None and hit[0] >= digits:
-        return hit[1]
+    if hit is not None and hit[0] == max_n() and hit[1] >= digits:
+        return hit[2]
     value = _constant_by_extrapolation(*parse_gamma_atom(name), digits)[0]
-    _atom_cache[name] = (digits, value)
+    _atom_cache[name] = (max_n(), digits, value)
     return value
 
 
@@ -179,31 +177,37 @@ def _resolve_series_atoms(series: ScaleSeries, digits: int) -> dict[str, mpmath.
     return {name: resolve_atom(name, digits) for name in sorted(series.atoms(), key=deepest_first)}
 
 
+def _exact_constant(point: IntPoint, order: OrderIndex, star: bool) -> Fraction | None:
+    """The rational constant of a nested sum that is a polynomial in N, else
+    None: every level sums (l = 0, m <= 0) basis terms, so the expansion is exact."""
+    series = ScaleSeries.one()
+    for a, k in zip(reversed(point), reversed(order)):
+        v = series.shift(k, a)
+        series = sum_sequence(v, 0) + (v if star else ScaleSeries.zero())
+        if series.precision != INF:
+            return None
+    return series.cell(0, 0).q
+
+
 def _constant_by_extrapolation(
     point: IntPoint, order: OrderIndex, star: bool, digits: int
 ) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """Regularised value and error estimate by accelerated extrapolation."""
-    if not point:
-        return mp.one, mp.zero
+    """Regularised value and error estimate: u_N less its expansion truncated
+    before the first cell below target, at N and 2N, from N = schedule_n."""
+    exact = _exact_constant(point, order, star)
+    if exact is not None:
+        with mp.workdps(digits + 15):
+            return to_mpf(exact), mp.zero
     target = 0.25 * 10.0 ** (-(digits + 2))
-    # each level sums to 2N, so no level sums past the cap
-    n_top = min(schedule_n(digits), max_n() // 2)
+    n_top = schedule_n(digits)
     while True:
-        series = None
-        for probe in _A_PROBES:
-            table = asymptotic_expansion(point, order, probe, star)
-            cut = _first_small_cutoff(table, n_top, target)
-            if cut is not None:
-                series = table.truncated(cut).drop_constant_cell()
-                break
+        series = _truncated_expansion(point, order, star, n_top, target)
         if series is not None:
             # guard digits for the cancellation u_N - divergent(N); both the
             # N-growth of negative orders and the log-power growth count
-            extra = 0.0
-            if series.terms:
-                extra = max(0.0, -series.order() * math.log10(n_top))
-                max_deg = max(l for (_, l), _ in series.terms)
-                extra += max(0.0, max_deg * math.log10(math.log(n_top)))
+            max_deg = max((l for (_, l), _ in series.terms), default=0)
+            extra = max(0.0, -series.order() * math.log10(n_top))
+            extra += max_deg * math.log10(math.log(n_top))
             dps = digits + 15 + int(extra)
             values = _resolve_series_atoms(series, digits + 8 + int(extra))
             with mp.workdps(dps):
@@ -223,6 +227,25 @@ def _constant_by_extrapolation(
                 f"{digits} digits by N={2 * n_top}"
             )
         n_top *= 2
+
+
+def _truncated_expansion(
+    point: IntPoint, order: OrderIndex, star: bool, n_top: int, target: float
+) -> ScaleSeries | None:
+    """The expansion less its constant cell, cut before its first cell below
+    ``target`` at N = ``n_top``, raising the X-order by 6 until one is; None
+    once the top cells stop shrinking (the series turns near order 2 pi N)."""
+    smallest = INF
+    for probe in count(8, 6):
+        table = asymptotic_expansion(point, order, probe, star)
+        cut = _first_small_cutoff(table, n_top, target)
+        if cut is not None:
+            return table.truncated(cut).drop_constant_cell()
+        top = {q for (q, _), _ in table.terms if q > probe - 6}
+        top_smallest = min((abs_cell_magnitude(table, q, n_top) for q in top), default=INF)
+        if top_smallest >= smallest:
+            return None
+        smallest = top_smallest
 
 
 def _first_small_cutoff(series: ScaleSeries, n_top: int, target: float) -> int | None:
@@ -292,7 +315,7 @@ def _constant_by_assembly(
 
         center = [mp.mpf(a) for a in point]
         deriv, correction = mzv.richardson_partial(fn, center, order, h)
-        value = (-1) ** k_total * deriv
+        value = (-1) ** k_total * deriv.real
         err = max(correction, abs(value) * mp.mpf(10) ** (-digits))
         return value, err
 
@@ -306,8 +329,8 @@ def _reg_center_value(point: IntPoint, star: bool, digits: int) -> tuple[mpmath.
         s = [mp.mpf(a) + eps * d for a, d in zip(point, direction)]
         samples.append((eps, mzv.reg_via_tails(point, s, digits + 8, star=star)))
     # Richardson: fit polynomial in eps through the samples, value at 0
-    value = _neville_at_zero(samples)
-    crude = _neville_at_zero(samples[:-1])
+    value = _neville_at_zero(samples).real
+    crude = _neville_at_zero(samples[:-1]).real
     return value, abs(value - crude)
 
 
@@ -356,7 +379,11 @@ class EvalResult:
     remainder_estimate: mpmath.mpf
 
 
-@memo(key=lambda center, degree, digits=12, star=False: (as_point(center), degree, digits, star))
+@memo(
+    key=lambda center, degree, digits=12, star=False: (
+        as_point(center), degree, digits, star, max_n()
+    )
+)
 def reg_series(
     center: Sequence[int], degree: int, digits: int = 12, star: bool = False
 ) -> RegSeries:

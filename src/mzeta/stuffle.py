@@ -84,10 +84,6 @@ def deduce_sequence(x: Sequence, y: Sequence, st: Stuffling):
 Poly = dict[tuple[int, ...], Fraction]
 
 
-def _poly_zero() -> Poly:
-    return {}
-
-
 def _poly_const(c: Fraction, nvars: int) -> Poly:
     return {(0,) * nvars: c} if c else {}
 
@@ -105,12 +101,8 @@ def _poly_from_form(form: LinForm) -> Poly:
 def _poly_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
@@ -118,16 +110,8 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _poly_scale(a: Poly, c: Fraction) -> Poly:
-    return {e: q * c for e, q in a.items()} if c else {}
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 # -- rational functions -------------------------------------------------------
@@ -141,13 +125,8 @@ class RatFunc:
     terms: tuple[Term, ...]
 
     @staticmethod
-    def constant(c, nvars: int) -> "RatFunc":
-        c = Fraction(c)
-        return RatFunc(nvars, ((c, ()),) if c else ())
-
-    @staticmethod
     def one(nvars: int) -> "RatFunc":
-        return RatFunc.constant(1, nvars)
+        return RatFunc(nvars, ((Fraction(1), ()),))
 
     @staticmethod
     def zero(nvars: int) -> "RatFunc":
@@ -189,15 +168,14 @@ class RatFunc:
         """Exact at Fractions, numeric at floats/complex; forms must not vanish."""
         if len(point) < self.nvars:
             raise ValueError("not enough coordinates")
-        total = None
+        exact = all(isinstance(x, (int, Fraction)) for x in point)
+        total = Fraction(0) if exact else 0j
         for c, forms in self.terms:
-            val = Fraction(c) if all(isinstance(x, (int, Fraction)) for x in point) else complex(c)
+            val = Fraction(c) if exact else complex(c)
             for form in forms:
                 lin = sum(k * point[i] for i, k in enumerate(form) if k)
                 val = val / lin
-            total = val if total is None else total + val
-        if total is None:
-            return Fraction(0) if all(isinstance(x, (int, Fraction)) for x in point) else 0j
+            total = total + val
         return total
 
     def as_fraction(self) -> tuple[Poly, Poly]:
@@ -211,7 +189,7 @@ class RatFunc:
             fp = _poly_from_form(f)
             for _ in range(k):
                 den = _poly_mul(den, fp)
-        num = _poly_zero()
+        num: Poly = {}
         for c, forms in self.terms:
             counts = Counter(forms)
             part = _poly_const(c, self.nvars)
@@ -227,7 +205,7 @@ class RatFunc:
         self._require_same_vars(other)
         n1, d1 = self.as_fraction()
         n2, d2 = other.as_fraction()
-        return _poly_add(_poly_mul(n1, d2), _poly_scale(_poly_mul(n2, d1), Fraction(-1))) == {}
+        return _poly_mul(n1, d2) == _poly_mul(n2, d1)
 
     @property
     def is_zero_exact(self) -> bool:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 import mzeta
 from mzeta import mzv
@@ -121,12 +122,31 @@ class TestZetaCommand:
         assert err.startswith("error: complex number") and err.endswith("is out of range\n")
 
     def test_max_n_env_bounds_precision(self, capsys, monkeypatch):
-        monkeypatch.setenv("MZETA_MAX_N", "64")
+        # under a cap of 16 no level passes N = 8, and no correction order
+        # gets below the remainder floor e^(-16 pi) ~ 1e-22 there
+        monkeypatch.setenv("MZETA_MAX_N", "16")
         code, _, err = run_cli(
             capsys, "stieltjes", "--point", "1", "--order", "0", "--digits", "40"
         )
         assert code == 3
         assert "did not stabilise" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeta", "--args=0.5", "--digits=45"],
+            ["stieltjes", "--point=1", "--order=0", "--digits=40"],
+            ["expand", "--point=1", "--degree=0", "--digits=40"],
+        ],
+    )
+    def test_value_memos_follow_the_cap(self, capsys, monkeypatch, argv):
+        # in one process: a value reached under the default cap is not
+        # served from the memo once a cap that cannot reach it is set
+        monkeypatch.delenv("MZETA_MAX_N", raising=False)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setenv("MZETA_MAX_N", "16")
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
 
     def test_max_n_env_bounds_zeta_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("MZETA_MAX_N", "16")
@@ -166,6 +186,23 @@ class TestZetaCommand:
         assert last and max(last) <= cap
         if "--star" not in argv:  # a star sum's top bound N + 1 sums n <= N
             assert max(last) < cap
+
+    def test_fifty_digit_constant_sums_no_index_past_256(self, capsys, monkeypatch):
+        # N stays near the digit count and the correction order rises
+        # instead: a deterministic guard on the schedule, not a timing
+        last = []
+
+        def spy(s, tops, *args, **kwargs):
+            last.append(max(tops) - 1)  # the largest index summed
+            return nested_sums(s, tops, *args, **kwargs)
+
+        monkeypatch.delenv("MZETA_MAX_N", raising=False)
+        monkeypatch.setattr(mzv, "nested_sums", spy)
+        code, out, _ = run_cli(capsys, "stieltjes", "--point=1,1", "--order=0,0", "--digits=50")
+        with mp.workdps(60):
+            gamma00 = (mp.euler**2 - mp.zeta(2)) / 2  # (H^2 - H^(2))/2 regularised
+            assert (code, out.splitlines()[0]) == (0, mp.nstr(gamma00, 50, strip_zeros=False))
+        assert last and max(last) <= 256
 
     def test_depth_cap_above_value_cap_is_parse_error(self, capsys):
         too_deep = ",".join(["1"] * (DEPTH_CAP + 1))

@@ -16,7 +16,7 @@ from mzeta.partial_sums import (
     sum_sequence,
 )
 from mzeta.scale import INF, Coeff, ScaleSeries
-from mzeta.stieltjes import gamma_atom, resolve_atom, truncated_log_sum
+from mzeta.stieltjes import gamma_atom, resolve_atom, stieltjes_constant, truncated_log_sum
 
 FR = Fraction
 
@@ -149,6 +149,20 @@ class TestResolveConstant:
             expected = known_closed_form(em_slot_name(l, m)) + to_mpf(offset)
             assert abs(resolve_atom(gamma_atom((m,), (l,)), 13) - expected) < 1e-12
 
+    @pytest.mark.parametrize("digits", [12, 30, 50])
+    @pytest.mark.parametrize(
+        "l, m", CLOSED_FORM_CASES, ids=[em_slot_name(l, m) for l, m in CLOSED_FORM_CASES]
+    )
+    def test_est_error_bounds_the_true_error(self, l, m, digits):
+        # small N and a high correction order make 50 digits cheap; the
+        # reported est_error is never below the error against the closed form
+        v = stieltjes_constant((m,), (l,), digits)
+        with mp.workdps(digits + 20):
+            offset = sum_basis(BasisTerm(l, m), 0).cell(0, 0).q
+            error = abs(v.value - known_closed_form(em_slot_name(l, m)) - to_mpf(offset))
+        assert error < mp.mpf(10) ** -digits
+        assert error <= v.est_error
+
     def test_stieltjes_metadata(self):
         with mp.workdps(25):
             assert abs(known_closed_form(em_slot_name(2, 1)) - mpmath.stieltjes(2)) < 1e-20
@@ -170,6 +184,10 @@ class TestResolveConstant:
                 assert b < a / mp.mpf("1.5")
 
 
-def test_schedule_is_deterministic():
-    assert schedule_n(12) == schedule_n(12)
-    assert schedule_n(1) >= 64
+def test_schedule_is_deterministic(monkeypatch):
+    # N near the digit count and at least 64, at most half the cap
+    monkeypatch.delenv("MZETA_MAX_N", raising=False)
+    digits = (1, 12, 50, 64, 65, 128, 129)
+    assert [schedule_n(d) for d in digits] == [64, 64, 64, 64, 128, 128, 256]
+    monkeypatch.setenv("MZETA_MAX_N", "16")
+    assert schedule_n(50) == 8

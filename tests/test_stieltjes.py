@@ -2,9 +2,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import pairwise, product
+from math import prod
 from pathlib import Path
 
+import mpmath
 import pytest
 from mpmath import mp
 
@@ -233,6 +235,44 @@ class TestStieltjesConstant:
         ex = stieltjes_constant((2,), (1,), 10)
         cf = stieltjes_constant((2,), (1,), 8, method="closed_form_assembly")
         assert abs(ex.value - cf.value) < 1e-6
+
+    @pytest.mark.parametrize("method", ["extrapolation", "closed_form_assembly"])
+    @pytest.mark.parametrize("point, order", [((3, 2), (1, 0)), ((2,), (0,))])
+    def test_values_are_real(self, method, point, order):
+        assert isinstance(stieltjes_constant(point, order, 8, method=method).value, mpmath.mpf)
+
+    @pytest.mark.parametrize(
+        "point, star",
+        [(p, s) for p in [(0,), (-2,), (0, 0), (0, -1), (1, -2), (-2, -2)] for s in (False, True)]
+        + [((1, 0), True)],
+    )
+    def test_polynomial_sums_give_their_exact_constant(self, monkeypatch, point, star):
+        # a nested sum that is a polynomial P(N) has the constant P(0); its
+        # exact expansion gives it with no sweep (gs(1,0|0,0) = N is one,
+        # g(1,0|0,0) = N - 1 - H_(N-1) is not)
+        deg = sum(1 - a for a in point)
+        xs = range(1, deg + 2)
+        ys = [_brute_force_sum(point, n, star) for n in xs]
+        expected = sum(
+            y * prod(Fraction(-x_j, x - x_j) for x_j in xs if x_j != x) for x, y in zip(xs, ys)
+        )
+        sweeps = []
+        monkeypatch.setattr(mzv, "nested_sums", lambda *a, **k: sweeps.append(a))
+        v = stieltjes_constant(point, (0,) * len(point), 30, star)
+        assert (v.est_error, sweeps) == (0, [])
+        with mp.workdps(40):
+            assert abs(v.value - expected) < mp.mpf(10) ** -32
+            assert resolve_atom(gamma_atom(point, (0,) * len(point), star), 30) == v.value
+
+
+def _brute_force_sum(point, n_top, star):
+    """u_N over every index tuple, in exact rationals."""
+    holds = (lambda a, b: a >= b) if star else (lambda a, b: a > b)
+    return sum(
+        prod((Fraction(n) ** -a for n, a in zip(ns, point)), start=Fraction(1))
+        for ns in product(range(1, n_top + star), repeat=len(point))
+        if all(holds(a, b) for a, b in pairwise(ns))
+    )
 
 
 class TestRegSeries:
