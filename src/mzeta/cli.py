@@ -98,15 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mzeta {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=12, help="target digits (<= 50)")
-    common.add_argument(
+    common.add_argument("--output", choices=("json", "text"), default="text")
+    # the commands that take a point refuse one deeper than the cap
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument(
         "--depth-cap", type=int, default=4, help=f"maximum depth (<= {DEPTH_CAP})"
     )
-    common.add_argument("--seed", type=int, default=42, help="seed for sampled points")
-    common.add_argument("--output", choices=("json", "text"), default="text")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stieltjes", parents=[common], help="one multiple Stieltjes constant")
+    p = sub.add_parser("stieltjes", parents=[capped], help="one multiple Stieltjes constant")
     p.set_defaults(run=_cmd_stieltjes)
     p.add_argument("--point", required=True, help="comma-separated integers")
     p.add_argument("--order", required=True, help="comma-separated naturals")
@@ -117,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="extrapolation",
     )
 
-    p = sub.add_parser("zeta", parents=[common], help="continued multiple zeta value")
+    p = sub.add_parser("zeta", parents=[capped], help="continued multiple zeta value")
     p.set_defaults(run=_cmd_zeta)
     p.add_argument("--args", required=True, help='complex list, e.g. "2,1" or "1.5+0.5i"')
     p.add_argument("--star", action="store_true")
@@ -125,10 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run identity checks")
     p.set_defaults(run=_cmd_verify)
     p.add_argument("identity", help="identity name or 'all'")
+    p.add_argument("--seed", type=int, default=42, help="seed for sampled points")
     p.add_argument("--depth", type=int, default=None, help="restrict to one depth")
     p.add_argument("--jobs", type=int, default=None, help="parallel workers")
 
-    p = sub.add_parser("expand", parents=[common], help="regularised series around a point")
+    p = sub.add_parser("expand", parents=[capped], help="regularised series around a point")
     p.set_defaults(run=_cmd_expand)
     p.add_argument("--point", required=True)
     p.add_argument("--degree", type=int, default=2)
@@ -139,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate_config(ns: argparse.Namespace) -> None:
     if not 1 <= ns.digits <= 50:
         raise CliParseError("--digits must be in 1..50")
-    if not 0 <= ns.depth_cap <= DEPTH_CAP:
+    if "depth_cap" in ns and not 0 <= ns.depth_cap <= DEPTH_CAP:
         raise CliParseError(f"--depth-cap must be in 0..{DEPTH_CAP}")
     try:
         max_n()

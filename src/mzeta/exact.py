@@ -12,8 +12,8 @@ holds the memoized tables and the Pochhammer polynomials:
 - the weak compositions of an integer, which every enumeration of integer
   tuples with a fixed sum reads.
 
-The tables are :func:`config.memo` entries, filled in ascending order so that
-a cold call recurses a level or two only; all returned values are immutable.
+The tables are :func:`config.memo` entries; a cold call does not recurse,
+and all returned values are immutable.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, pairwise
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, Union
+
+import mpmath
 
 from .config import memo
 
@@ -31,18 +33,12 @@ Number = Union[int, float, complex, Fraction]
 
 @memo(key=lambda n, star=False: (n, star))
 def bernoulli(n: int, star: bool = False) -> Fraction:
-    """Return B_n, or B*_n = (-1)^n B_n when ``star`` is set.
-
-    Computed by the binomial recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0,
-    i.e. B_n = -1/(n+1) * sum_{j<n} C(n+1, j) B_j, over ascending j.
-    """
+    """Return B_n, or B*_n = (-1)^n B_n when ``star`` is set (mpmath's exact
+    ``bernfrac``)."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if star:
-        return -bernoulli(n) if n % 2 == 1 else bernoulli(n)
-    if n == 0:
-        return Fraction(1)
-    return -sum((comb(n + 1, j) * bernoulli(j) for j in range(n)), Fraction(0)) / (n + 1)
+    b = Fraction(*mpmath.bernfrac(n))
+    return -b if star and n % 2 == 1 else b
 
 
 @memo(key=lambda k, star: (k, star))
@@ -116,14 +112,6 @@ class PochhammerPoly:
     def degree(self) -> int:
         return self.k
 
-    def __call__(self, s: Number) -> Number:
-        if self.reciprocal:
-            return 1 / (s - 1)
-        acc: Number = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
-
 
 def pochhammer(k: int) -> PochhammerPoly:
     """Return (s)_k as a :class:`PochhammerPoly` (k = -1 gives the marker)."""
@@ -136,10 +124,8 @@ def pochhammer(k: int) -> PochhammerPoly:
 
 
 def rising(s: Number, k: int) -> Number:
-    """Numeric (s)_k for k >= 0, with (s)_{-1} = 1/(s-1).
-
-    Unlike :func:`pochhammer` this evaluates directly.
-    """
+    """Numeric (s)_k for k >= 0, with (s)_{-1} = 1/(s-1): the one evaluator
+    of the rising factorial (:func:`pochhammer` gives its coefficients)."""
     if k < -1:
         raise ValueError("Pochhammer order must be >= -1")
     if k == -1:

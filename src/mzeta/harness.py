@@ -112,8 +112,6 @@ def _degree_for(offsets: Sequence[Fraction], digits: int, cap: int = 8) -> int:
 def _tail_value(s: Sequence, n_from: int, digits: int, variant: str) -> mpmath.mpc:
     """Tail via the asymptotic expansion, or value-minus-truncation when N is
     too small for the expansion to reach the tolerance."""
-    if len(s) == 0:
-        return mp.mpc(1)
     try:
         value, _ = mzv._tail_auto(s, n_from, digits, variant)
         return value

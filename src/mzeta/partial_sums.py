@@ -90,20 +90,14 @@ def sum_basis(term: BasisTerm, precision: int) -> ScaleSeries:
 
     h = _derivative(f)  # f^(2j-1), starting at j = 1
     j = 1
-    terminated = False
-    while True:
-        if not h:
-            terminated = True
-            break
-        if m + 2 * j - 1 > precision:
-            break
+    while h and m + 2 * j - 1 <= precision:
         b = bernoulli_ratios(2 * j)[-1]
         for k, c in h.items():
             cells[k] = cells.get(k, Fraction(0)) + b * c
         h = _derivative(_derivative(h))
         j += 1
 
-    exact = terminated
+    exact = not h
     if l == 0 and m <= 0:
         # The sum is a polynomial in N; pin the constant so that
         # divergent(N) == u_N exactly.  At N = 1 the empty sum is 0 and

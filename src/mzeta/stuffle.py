@@ -239,6 +239,14 @@ def _zigzag_extensions(
             yield ext
 
 
+def _running_forms(positions: Iterable[int], nvars: int) -> Iterator[LinForm]:
+    """The running sums X_p1, X_p1 + X_p2, .. over the 1-based ``positions``."""
+    acc = [0] * nvars
+    for pos in positions:
+        acc[pos - 1] += 1
+        yield tuple(acc)
+
+
 @memo(key=lambda I, i, j, nvars=None: (tuple(sorted(set(I))), i, j, j if nvars is None else nvars))
 def b_rational(I: Sequence[int], i: int, j: int, nvars: int | None = None) -> RatFunc:
     """The zigzag order-polytope integral b_{i,j} as an exact rational function.
@@ -257,12 +265,8 @@ def b_rational(I: Sequence[int], i: int, j: int, nvars: int | None = None) -> Ra
     descents = {m: (m not in iset) for m in range(i + 1, j)}
     total = RatFunc.zero(nvars)
     for ext in _zigzag_extensions(positions, descents):
-        forms = []
-        acc = [0] * nvars
-        for pos in reversed(ext):  # smallest variable first
-            acc[pos - 1] += 1
-            forms.append(tuple(acc))
-        total = total + RatFunc.reciprocal_chain(forms, nvars)
+        # smallest variable first
+        total = total + RatFunc.reciprocal_chain(_running_forms(reversed(ext), nvars), nvars)
     return total
 
 
@@ -270,7 +274,7 @@ def f_rational(I: Sequence[int], i: int) -> RatFunc:
     """The inversion coefficient f_i (region Delta_i), in Q(X_1..X_i)."""
     if i not in set(I) | {0}:
         raise ValueError(f"index {i} not in I")
-    return b_rational(I, 0, i, nvars=i)
+    return b_rational(I, 0, i)
 
 
 def inversion_sign(I: Sequence[int], i: int) -> int:
@@ -289,13 +293,7 @@ def matrix_A(I: Sequence[int], r: int) -> dict[tuple[int, int], RatFunc]:
             elif a == b:
                 out[(a, b)] = RatFunc.one(r)
             else:
-                forms = []
-                for m in range(a + 1, b + 1):
-                    form = [0] * r
-                    for t in range(m, b + 1):
-                        form[t - 1] = 1
-                    forms.append(tuple(form))
-                out[(a, b)] = RatFunc.reciprocal_chain(forms, r)
+                out[(a, b)] = reciprocal_suffix_chain(b - a, a, r)
     return out
 
 
@@ -334,9 +332,4 @@ def matrix_product(
 def reciprocal_suffix_chain(arity: int, offset: int = 0, nvars: int | None = None) -> RatFunc:
     """1 / (X_p (X_p + X_{p-1}) ... (X_p + .. + X_1)), variables shifted by offset."""
     nvars = arity + offset if nvars is None else nvars
-    forms = []
-    acc = [0] * nvars
-    for m in range(arity, 0, -1):
-        acc[offset + m - 1] += 1
-        forms.append(tuple(acc))
-    return RatFunc.reciprocal_chain(forms, nvars)
+    return RatFunc.reciprocal_chain(_running_forms(range(offset + arity, offset, -1), nvars), nvars)

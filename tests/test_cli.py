@@ -354,16 +354,23 @@ COMMANDS = ("stieltjes", "zeta", "verify", "expand")
 BAD_INTS = ("x", "", "1.5", "1e3", "1+0i", "--1", "0x10")
 BAD_COMPLEX = ("x", "", "1e3", "1+i", "i", "1.5+", "2;1", "--1", "1_0", "inf")
 INT_OPTIONS = {
-    "stieltjes": ("--digits", "--depth-cap", "--seed"),
-    "zeta": ("--digits", "--depth-cap", "--seed"),
-    "verify": ("--digits", "--depth-cap", "--seed", "--depth", "--jobs"),
-    "expand": ("--digits", "--depth-cap", "--seed", "--degree"),
+    "stieltjes": ("--digits", "--depth-cap"),
+    "zeta": ("--digits", "--depth-cap"),
+    "verify": ("--digits", "--seed", "--depth", "--jobs"),
+    "expand": ("--digits", "--depth-cap", "--degree"),
+}
+# flags that another command takes but this one does not read
+FOREIGN = {
+    "stieltjes": "--seed",
+    "zeta": "--seed",
+    "verify": "--depth-cap",
+    "expand": "--seed",
 }
 FAULTS = {
-    "stieltjes": ("digits", "depth-cap", "not-an-int", "too-deep", "malformed", "negative-order", "mismatch"),
-    "zeta": ("digits", "depth-cap", "not-an-int", "too-deep", "malformed"),
-    "verify": ("digits", "depth-cap", "not-an-int", "identity"),
-    "expand": ("digits", "depth-cap", "not-an-int", "too-deep", "malformed", "degree"),
+    "stieltjes": ("digits", "depth-cap", "not-an-int", "too-deep", "malformed", "negative-order", "mismatch", "foreign"),
+    "zeta": ("digits", "depth-cap", "not-an-int", "too-deep", "malformed", "foreign"),
+    "verify": ("digits", "not-an-int", "identity", "foreign"),
+    "expand": ("digits", "depth-cap", "not-an-int", "too-deep", "malformed", "degree", "foreign"),
 }
 
 
@@ -392,7 +399,9 @@ def refused_command_lines(draw):
     depth = draw(st.integers(0, cap))
     if fault == "too-deep":
         depth = draw(st.integers(cap + 1, DEPTH_CAP + 2))
-    opts = {"--digits": str(draw(st.integers(1, 50))), "--depth-cap": str(cap)}
+    opts = {"--digits": str(draw(st.integers(1, 50)))}
+    if "--depth-cap" in INT_OPTIONS[command]:
+        opts["--depth-cap"] = str(cap)
     if fault == "digits":
         opts["--digits"] = str(draw(st.one_of(st.integers(max_value=0), st.integers(min_value=51))))
     elif fault == "depth-cap":
@@ -401,6 +410,8 @@ def refused_command_lines(draw):
         )
     elif fault == "not-an-int":
         opts[draw(st.sampled_from(INT_OPTIONS[command]))] = draw(st.sampled_from(BAD_INTS))
+    elif fault == "foreign":
+        opts[FOREIGN[command]] = str(draw(st.integers(0, DEPTH_CAP)))
     argv = [command]
     if command == "stieltjes":
         point, order = _int_list(draw, depth), _int_list(draw, depth, 0, 3)

@@ -25,6 +25,13 @@ def poly_mul(a, b):
     return out
 
 
+def horner(coeffs, s):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
 class TestBernoulli:
     @pytest.mark.parametrize(
         "n,star,expect",
@@ -95,8 +102,8 @@ class TestPochhammer:
 
     def test_reciprocal_marker(self):
         marker = pochhammer(-1)
-        assert marker.reciprocal
-        assert marker(Fraction(3)) == Fraction(1, 2)
+        assert marker.reciprocal and marker.coeffs == ()
+        assert rising(Fraction(3), -1) == Fraction(1, 2)
         assert rising(3, -1) == Fraction(1, 2)
 
     def test_invalid_order(self):
@@ -120,7 +127,7 @@ class TestPochhammer:
 
     @given(st.integers(min_value=0, max_value=12), st.fractions())
     def test_numeric_agreement(self, k, s):
-        assert pochhammer(k)(s) == rising(s, k)
+        assert horner(pochhammer(k).coeffs, s) == rising(s, k)
 
 
 def test_rational_arithmetic_is_exact():
