@@ -372,29 +372,48 @@ def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
     target = mp.mpf(10) ** (-(digits + 2))
     n_level, k_order = MIN_MAX_N, 4  # the least cap: no level passes the cap
     cap = max_n()
-    with mp.workdps(working_dps(digits)):
-        while True:
-            try:
-                tails = [zeta_tail(s[:j], n_level - 1, k_order) for j in range(1, len(s) + 1)]
-            except TailNotConvergingError:
-                tails = None
-            # each estimate alone bounds err below: sweep only when all pass
-            if tails is not None and all(est < target for _, est in tails):
-                # the whole truncation and every suffix's, from one sweep
-                total, *suffixes = nested_sums(s, (n_level,))[1]
-                err = mp.zero
-                for (tail, est), suffix in zip(tails, suffixes):
-                    total += tail * suffix
-                    err += est * max(mp.one, abs(suffix))
-                if err < target:
-                    return total, err
-            if n_level >= cap and k_order >= K_CAP:
-                raise PrecisionUnreachableError(
-                    f"zeta value at {list(map(str, s))} did not reach "
-                    f"{digits} digits within N={n_level}, K={k_order}"
-                )
-            n_level = min(n_level * 2, cap)
-            k_order = min(k_order + 2, K_CAP)
+    dps = working_dps(digits)
+    while True:
+        with mp.workdps(dps):
+            level = _strict_level(s, n_level, k_order, target)
+            if level is not None:
+                total, err, scale = level
+                # the addends can dwarf the value: redo this level with the
+                # digits their cancellation costs, keeping the tail estimate
+                lost = scale * mp.mpf(10) ** -dps / target
+                if lost > 1:
+                    with mp.workdps(dps + int(mpmath.ceil(mpmath.log10(lost)))):
+                        total = _strict_level(s, n_level, k_order, mp.inf)[0]
+                return +total, err
+        if n_level >= cap and k_order >= K_CAP:
+            raise PrecisionUnreachableError(
+                f"zeta value at {list(map(str, s))} did not reach "
+                f"{digits} digits within N={n_level}, K={k_order}"
+            )
+        n_level = min(n_level * 2, cap)
+        k_order = min(k_order + 2, K_CAP)
+
+
+def _strict_level(s: Sequence, n_level: int, k_order: int, target):
+    """Truncation below N plus tails at order K: the value, its error
+    estimate and the sum of the addends' sizes; None when the error
+    estimate is not below ``target``."""
+    try:
+        tails = [zeta_tail(s[:j], n_level - 1, k_order) for j in range(1, len(s) + 1)]
+    except TailNotConvergingError:
+        return None
+    # each estimate alone bounds the error below: sweep only when all pass
+    if any(est >= target for _, est in tails):
+        return None
+    # the whole truncation and every suffix's, from one sweep
+    total, *suffixes = nested_sums(s, (n_level,))[1]
+    err, scale = mp.zero, abs(total)
+    for (tail, est), suffix in zip(tails, suffixes):
+        term = tail * suffix
+        total += term
+        scale += abs(term)
+        err += est * max(mp.one, abs(suffix))
+    return (total, err, scale) if err < target else None
 
 
 def zeta_tail_via_values(

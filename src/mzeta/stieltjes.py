@@ -234,7 +234,10 @@ def _truncated_expansion(
 ) -> ScaleSeries | None:
     """The expansion less its constant cell, cut before its first cell below
     ``target`` at N = ``n_top``, raising the X-order by 6 until one is; None
-    once the top cells stop shrinking (the series turns near order 2 pi N)."""
+    once the top cells stop shrinking (the series turns near order 2 pi N),
+    or at once when the target lies far below that turn's floor e^(-2 pi N)."""
+    if target < 1e-6 * math.exp(-2 * math.pi * n_top):
+        return None
     smallest = INF
     for probe in count(8, 6):
         table = asymptotic_expansion(point, order, probe, star)
@@ -322,12 +325,16 @@ def _constant_by_assembly(
 
 def _reg_center_value(point: IntPoint, star: bool, digits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
     direction = [mp.mpf(1) / (j + 2) for j in range(len(point))]
-    base = mp.mpf("0.008")
+    # n samples fit to about eps^n: shrink eps with the target, but keep the
+    # samples 1e-10 clear of the polar hyperplanes (shift <= 6) and take more
+    # samples past 32 digits; the samples get the digits their 1/eps terms cancel
+    shift = min(6, max(0, (digits + 2) // 4 - 2))
+    base = mp.mpf("0.008") / mp.mpf(10) ** shift
     samples = []
-    for i in range(4):
+    for i in range(4 + max(0, digits - 25) // 8):
         eps = base / 2**i
         s = [mp.mpf(a) + eps * d for a, d in zip(point, direction)]
-        samples.append((eps, mzv.reg_via_tails(point, s, digits + 8, star=star)))
+        samples.append((eps, mzv.reg_via_tails(point, s, digits + 8 + shift, star=star)))
     # Richardson: fit polynomial in eps through the samples, value at 0
     value = _neville_at_zero(samples).real
     crude = _neville_at_zero(samples[:-1]).real

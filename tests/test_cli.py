@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import mzeta
-from mzeta import mzv
+from mzeta import mzv, stieltjes
 from mzeta.cli import main
 from mzeta.config import DEPTH_CAP
 from mzeta.mzv import nested_sums
+from mzeta.stieltjes import asymptotic_expansion
 
 SRC = str(Path(mzeta.__file__).resolve().parents[1])
 
@@ -130,6 +131,24 @@ class TestZetaCommand:
         )
         assert code == 3
         assert "did not stabilise" in err
+
+    @pytest.mark.parametrize("digits, probes", [(30, False), (8, True)])
+    def test_small_cap_refuses_before_building_expansions(self, capsys, monkeypatch, digits, probes):
+        # at N = 8 the expansion's floor is e^(-16 pi) ~ 1e-22: a 30-digit
+        # target is refused before any correction order is tried
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return asymptotic_expansion(*args, **kwargs)
+
+        monkeypatch.setenv("MZETA_MAX_N", "16")
+        monkeypatch.setattr(stieltjes, "asymptotic_expansion", spy)
+        argv = ["--point=2,1,1", "--order=1,1,1", f"--digits={digits}"]
+        code, _, err = run_cli(capsys, "stieltjes", *argv)
+        assert bool(calls) == probes
+        if not probes:
+            assert code == 3 and "did not stabilise to 30 digits by N=16" in err
 
     @pytest.mark.parametrize(
         "argv",

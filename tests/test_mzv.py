@@ -157,6 +157,32 @@ class TestValues:
             assert got == fresh
             assert abs(got - at_three) > 1e-19
 
+    @pytest.mark.parametrize(
+        "s, digits, variant",
+        [
+            ((Fraction(-5, 2), Fraction(-5, 2)), 30, "strict"),
+            ((Fraction(1, 4), Fraction(-5, 2)), 30, "strict"),
+            ((Fraction(-3, 4), Fraction(-5, 2)), 50, "strict"),
+            ((Fraction(-3, 4), Fraction(-3, 2)), 50, "strict"),
+            ((Fraction(-5, 2), Fraction(-5, 2), Fraction(3, 2)), 12, "strict"),
+            ((Fraction(1, 2), mp.mpc(-2.5, -1), Fraction(-3, 2)), 12, "star"),
+            ((Fraction(-5, 2), mp.mpc(4, 2), Fraction(-3, 2), Fraction(-5, 2)), 12, "strict"),
+            ((Fraction(-3, 2), Fraction(-3, 2), Fraction(3, 2), mp.mpc(-2.5, 1)), 12, "strict"),
+        ],
+    )
+    def test_cancelling_addends_keep_the_digits(self, s, digits, variant):
+        # truncation and tails far larger than the value: ten more digits
+        # must agree with it to the requested ones
+        with mp.workdps(digits + 30):
+            value = zeta_value(s, digits, variant)
+            finer = zeta_value(s, digits + 10, variant)
+            assert abs(value - finer) <= mp.mpf(10) ** -digits * max(1, abs(finer))
+
+    def test_cancelling_depth_one_value_against_mpmath(self):
+        with mp.workdps(60):
+            value = zeta_value((Fraction(-5, 2),), 30)
+            assert abs(value - mp.zeta(mp.mpf(-2.5))) < mp.mpf(10) ** -32
+
     def test_internal_level_independence(self):
         for s in [(3, 2), (-1,), (0.5,)]:
             v1, e1 = zeta_value_with_error(s, 10)

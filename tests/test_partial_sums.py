@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -116,6 +117,33 @@ class TestSumSequence:
 CLOSED_FORM_CASES = [(0, 1), (1, 1), (2, 1), (1, 0), (1, 2), (0, 3), (1, -1), (2, -1), (1, -3)]
 
 
+def _depth_one_closed_form(l, m):
+    # g(m|l) is the basis sum's regularised constant plus its rational
+    # constant cell
+    offset = sum_basis(BasisTerm(l, m), 0).cell(0, 0).q
+    return known_closed_form(em_slot_name(l, m)) + to_mpf(offset)
+
+
+# (point, order, star, closed form at the ambient precision)
+EST_ERROR_CASES = [
+    *(
+        ((m,), (l,), False, partial(_depth_one_closed_form, l, m))
+        for l, m in CLOSED_FORM_CASES
+    ),
+    ((2, 1), (0, 0), False, lambda: mp.zeta(3)),
+    ((3, 1), (0, 0), False, lambda: mp.pi**4 / 360),
+    ((2, 2), (0, 0), False, lambda: mp.pi**4 / 120),
+    ((2, 1), (0, 0), True, lambda: 2 * mp.zeta(3)),
+    ((2, 2), (0, 0), True, lambda: mp.pi**4 / 120 + mp.pi**4 / 90),
+    ((1, 1), (0, 0), False, lambda: (mp.euler**2 - mp.zeta(2)) / 2),
+    ((1, 1), (0, 0), True, lambda: (mp.euler**2 + mp.zeta(2)) / 2),
+]
+EST_ERROR_IDS = [
+    em_slot_name(k[0], p[0]) if len(p) == 1 else gamma_atom(p, k, star)
+    for p, k, star, _ in EST_ERROR_CASES
+]
+
+
 class TestResolveConstant:
     def test_euler(self):
         value = resolve_atom("g(1|0)", 15)
@@ -150,16 +178,13 @@ class TestResolveConstant:
             assert abs(resolve_atom(gamma_atom((m,), (l,)), 13) - expected) < 1e-12
 
     @pytest.mark.parametrize("digits", [12, 30, 50])
-    @pytest.mark.parametrize(
-        "l, m", CLOSED_FORM_CASES, ids=[em_slot_name(l, m) for l, m in CLOSED_FORM_CASES]
-    )
-    def test_est_error_bounds_the_true_error(self, l, m, digits):
+    @pytest.mark.parametrize("point, order, star, closed_form", EST_ERROR_CASES, ids=EST_ERROR_IDS)
+    def test_est_error_bounds_the_true_error(self, point, order, star, closed_form, digits):
         # small N and a high correction order make 50 digits cheap; the
         # reported est_error is never below the error against the closed form
-        v = stieltjes_constant((m,), (l,), digits)
+        v = stieltjes_constant(point, order, digits, star=star)
         with mp.workdps(digits + 20):
-            offset = sum_basis(BasisTerm(l, m), 0).cell(0, 0).q
-            error = abs(v.value - known_closed_form(em_slot_name(l, m)) - to_mpf(offset))
+            error = abs(v.value - closed_form())
         assert error < mp.mpf(10) ** -digits
         assert error <= v.est_error
 

@@ -236,6 +236,21 @@ class TestStieltjesConstant:
         cf = stieltjes_constant((2,), (1,), 8, method="closed_form_assembly")
         assert abs(ex.value - cf.value) < 1e-6
 
+    @pytest.mark.parametrize(
+        "point, digits, closed_form",
+        [
+            ((0,), 20, lambda: -mp.one),
+            ((1, 1), 30, lambda: (mp.euler**2 - mp.zeta(2)) / 2),
+            # past 32 digits: more samples, each clear of the pole at s1 = 1
+            ((1,), 50, lambda: +mp.euler),
+        ],
+    )
+    def test_order_zero_assembly_meets_the_digits(self, point, digits, closed_form):
+        order = (0,) * len(point)
+        got = stieltjes_constant(point, order, digits, method="closed_form_assembly")
+        with mp.workdps(digits + 20):
+            assert abs(got.value - closed_form()) < mp.mpf(10) ** -digits
+
     @pytest.mark.parametrize("method", ["extrapolation", "closed_form_assembly"])
     @pytest.mark.parametrize("point, order", [((3, 2), (1, 0)), ((2,), (0,))])
     def test_values_are_real(self, method, point, order):
