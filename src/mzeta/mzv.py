@@ -31,8 +31,9 @@ from typing import Iterator, Sequence
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, from_int, fzero, mpc_add, mpc_mul, mpc_one, mpc_pow
-from mpmath.libmp import mpc_zero, mpf_add, mpf_log, mpf_mul, mpf_pow_int
+from mpmath.libmp import fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_mul
+from mpmath.libmp import mpc_mul_mpf, mpc_one, mpc_pow, mpc_sub_mpf, mpc_zero, mpf_add, mpf_log
+from mpmath.libmp import mpf_mul, mpf_pow_int
 
 from .config import MIN_MAX_N, check_depth, max_n, memo, to_mpc, to_mpf
 from .errors import (
@@ -179,85 +180,122 @@ def zeta_truncated(s: Sequence, n_top: int, variant: str = "strict") -> mpmath.m
 
 
 class _TailShells:
-    """Shells of the tail expansion at (s, N), built one |k| at a time.
+    """Shells of the tail expansion of s, free of N, built one |k| at a time.
 
-    Shell m sums the expansion terms over the k-tuples with |k| = m, and
-    ``truncate(K)`` appends shells up to K+2 only when they are first
-    needed, so growing K never rebuilds a shell.  Each prefix (k_1..k_j) of
-    a tuple is a node of a prefix tree holding its chain product, its
-    coefficient prod B_k/k! and the running product of its next Pochhammer
-    factor, which each new shell advances by one step.  The terms are added
-    in the order of the flat sum over tuples, factor by factor, so the shells
-    come out bit-for-bit as if every tuple were multiplied out on its own.
+    Shell m sums the expansion terms over the k-tuples with |k| = m.  Each
+    term is a leaf, the chain product times prod B_k/k!, times the one factor
+    N^(r-|s|-m) that depends on N.  A shell is built once, when first needed,
+    and keeps its leaves, so neither growing K nor moving N rebuilds it;
+    evaluating it at N multiplies each leaf by that power and adds them up.
+    Each prefix (k_1..k_j) of a tuple is a node of a prefix tree holding its
+    chain product, its coefficient prod B_k/k! and the running product of its
+    next Pochhammer factor, which each new shell advances by one step.  The
+    leaves are made and added in the order of the flat sum over tuples,
+    factor by factor, with the calls that ``run * coeff * power`` makes, so
+    the shells come out bit-for-bit as if every tuple were multiplied out on
+    its own.
     """
 
-    def __init__(self, s: Sequence, n_from: int, variant: str) -> None:
+    def __init__(self, s: Sequence, variant: str) -> None:
         _check_variant(variant)
-        if n_from < 2:
-            raise ValueError("tail expansions require N >= 2")
-        self.n_from, self.star = n_from, variant == "star"
+        self.star = variant == "star"
         self.ss = [to_mpc(x) for x in s]
         self.total_s = mp.fsum(x.real for x in self.ss) + 1j * mp.fsum(x.imag for x in self.ss)
-        self.shells, self.shells_abs = [], []
-        self.root = _TailNode(mp.mpc(1), Fraction(1), mp.mpc(0), 0, 0, self.ss) if s else None
+        self.leaves: list[list] = []  # leaves[m]: shell m's raw mpc leaves, in flat order
+        self.root = _TailNode(mpc_one, Fraction(1), mpc_zero, 0, 0, self.ss) if s else None
+        self._at_key, self._at = None, {}  # (value, size) of each shell at the last N
 
-    def truncate(self, k_order: int) -> tuple[mpmath.mpc, mpmath.mpf]:
-        """Shells |k| <= k_order summed, and the first-omitted-shell estimate."""
+    def truncate(self, n_from: int, k_order: int) -> tuple[mpmath.mpc, mpmath.mpf]:
+        """Shells |k| <= k_order summed at N = n_from, and the
+        first-omitted-shell estimate."""
+        estimate = self.estimate(n_from, k_order)
         if self.root is None:
-            return mp.mpc(1), mp.zero
-        while len(self.shells) < k_order + 3:
-            self._add_shell()
-        shells_abs = self.shells_abs
-        estimate = max(shells_abs[k_order + 1], shells_abs[k_order + 2])
-        if k_order >= 4:
-            last = max(shells_abs[k_order - 1], shells_abs[k_order])
-            older = max(shells_abs[k_order - 3], shells_abs[k_order - 2])
-            if estimate > last > older:
-                raise TailNotConvergingError(
-                    f"tail shells are growing at N={self.n_from}, K={k_order}"
-                )
+            return mp.mpc(1), estimate
         value = mp.mpc(0)
-        for sh in self.shells[: k_order + 1]:
-            value += sh
+        for m in range(k_order + 1):
+            value += self._shell_at(n_from, m)[0]
         return value, estimate
 
-    def _add_shell(self) -> None:
-        m = len(self.shells)
-        ratios = bernoulli_ratios(m, self.star)
-        power = mp.power(self.n_from, len(self.ss) - self.total_s - m)
-        acc = [mp.mpc(0), mp.zero]
-        self._visit(self.root, m, ratios, power, acc)
-        self.shells.append(acc[0])
-        self.shells_abs.append(acc[1])
+    def estimate(self, n_from: int, k_order: int) -> mpmath.mpf:
+        """The first-omitted-shell estimate at N = n_from; a
+        TailNotConvergingError when the shells grow there."""
+        if n_from < 2:
+            raise ValueError("tail expansions require N >= 2")
+        if self.root is None:
+            return mp.zero
+        self.grow(k_order + 2)
 
-    def _visit(self, node: _TailNode, rest: int, ratios: tuple, power, acc: list) -> None:
-        """Advance ``node`` to k_(j+1) = rest and add the terms of its subtree
-        in this shell to ``acc``, in lexicographic order of the k-tuples."""
+        def size(m: int) -> mpmath.mpf:
+            return self._shell_at(n_from, m)[1]
+
+        estimate = max(size(k_order + 1), size(k_order + 2))
+        if k_order >= 4:
+            last = max(size(k_order - 1), size(k_order))
+            older = max(size(k_order - 3), size(k_order - 2))
+            if estimate > last > older:
+                raise TailNotConvergingError(f"tail shells are growing at N={n_from}, K={k_order}")
+        return estimate
+
+    def grow(self, top: int) -> None:
+        """Build the shells up to |k| = top that are not built yet."""
+        while len(self.leaves) <= top:
+            self._add_shell()
+
+    def _shell_at(self, n_from: int, m: int) -> tuple[mpmath.mpc, mpmath.mpf]:
+        """Shell m at N = n_from and the sum of its terms' sizes."""
+        key = (n_from, mp.prec)
+        if key != self._at_key:
+            self._at_key, self._at = key, {}
+        if m not in self._at:
+            value, size = mpc_zero, fzero
+            if self.leaves[m]:
+                prec, rnd = mp._prec_rounding
+                power = mp.power(n_from, len(self.ss) - self.total_s - m)._mpc_
+                for leaf in self.leaves[m]:
+                    term = mpc_mul(leaf, power, prec, rnd)
+                    value = mpc_add(value, term, prec, rnd)
+                    size = mpf_add(size, mpc_abs(term, prec, rnd), prec, rnd)
+            self._at[m] = mp.make_mpc(value), mp.make_mpf(size)
+        return self._at[m]
+
+    def _add_shell(self) -> None:
+        m = len(self.leaves)
+        leaves: list = []
+        self._visit(self.root, m, bernoulli_ratios(m, self.star), leaves)
+        self.leaves.append(leaves)
+
+    def _visit(self, node: _TailNode, rest: int, ratios: tuple, leaves: list) -> None:
+        """Advance ``node`` to k_(j+1) = rest and append the leaves of its
+        subtree in this shell, in lexicographic order of the k-tuples."""
         ratio = ratios[rest]
         run = node.advance(rest)
         if node.depth == len(self.ss) - 1:
             if ratio:
-                coeff = node.coeff * ratio
-                term = run * to_mpf(coeff) * power
-                acc[0] += term
-                acc[1] += abs(term)
+                coeff = to_mpf(node.coeff * ratio)._mpf_
+                leaves.append(mpc_mul_mpf(run, coeff, *mp._prec_rounding))
             return
         node.children.append(node.child(run, ratio, rest, self.ss) if ratio else None)
         for k, child in enumerate(node.children):
             if child is not None:
-                self._visit(child, rest - k, ratios, power, acc)
+                self._visit(child, rest - k, ratios, leaves)
 
 
 class _TailNode:
-    """A prefix (k_1..k_j) of the tail's k-tuples with nonzero coefficient."""
+    """A prefix (k_1..k_j) of the tail's k-tuples with nonzero coefficient.
+
+    Its numbers are raw mpc tuples, combined by the libmp calls that mpc
+    arithmetic makes at the ambient precision.
+    """
 
     __slots__ = ("chain", "coeff", "pref_s", "pref_k", "depth", "x", "run", "children")
 
     def __init__(self, chain, coeff: Fraction, pref_s, pref_k: int, depth: int, ss: list) -> None:
+        prec, rnd = mp._prec_rounding
         self.chain, self.coeff, self.pref_k, self.depth = chain, coeff, pref_k, depth
-        self.pref_s = pref_s + ss[depth]
+        self.pref_s = mpc_add(pref_s, ss[depth]._mpc_, prec, rnd)
         # the next factor is (x)_(k-1), with (x)_(-1) = 1/(x-1)
-        self.x = self.pref_s + pref_k - depth
+        x = mpc_add_mpf(self.pref_s, from_int(pref_k), prec, rnd)
+        self.x = mpc_sub_mpf(x, from_int(depth), prec, rnd)
         self.run = None
         self.children: list[_TailNode | None] = []
 
@@ -268,8 +306,14 @@ class _TailNode:
     def advance(self, k: int):
         """Chain product times (x)_(k-1), for k one above the last call's."""
         if k == 0:
-            return self.chain / _pole_gap(self.x, 1, self._refusal)
-        self.run = self.chain if k == 1 else self.run * (self.x + (k - 2))
+            gap = _pole_gap(mp.make_mpc(self.x), 1, self._refusal)
+            return (mp.make_mpc(self.chain) / gap)._mpc_
+        if k == 1:
+            self.run = self.chain
+        else:
+            prec, rnd = mp._prec_rounding
+            factor = mpc_add_mpf(self.x, from_int(k - 2), prec, rnd)
+            self.run = mpc_mul(self.run, factor, prec, rnd)
         return self.run
 
     def _refusal(self) -> str:
@@ -287,7 +331,7 @@ def zeta_tail(
     Sums the expansion over multi-indices |k| <= k_order; the returned
     estimate is the absolute-sum of the first omitted shell.
     """
-    return _TailShells(s, n_from, variant).truncate(k_order)
+    return _TailShells(s, variant).truncate(n_from, k_order)
 
 
 def _tail_auto(
@@ -295,10 +339,10 @@ def _tail_auto(
 ) -> tuple[mpmath.mpc, mpmath.mpf]:
     """Grow the tail order until the first omitted shell is below tolerance."""
     target = mp.mpf(10) ** (-(digits + 2))
-    shells = _TailShells(s, n_from, variant)
+    shells = _TailShells(s, variant)
     best = mp.inf
     for k_order in range(4, K_CAP + 1, 2):
-        value, est = shells.truncate(k_order)
+        value, est = shells.truncate(n_from, k_order)
         if est < target:
             return value, est
         best = min(best, est)
@@ -373,47 +417,86 @@ def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
     n_level, k_order = MIN_MAX_N, 4  # the least cap: no level passes the cap
     cap = max_n()
     dps = working_dps(digits)
-    while True:
-        with mp.workdps(dps):
-            level = _strict_level(s, n_level, k_order, target)
+    with mp.workdps(dps):
+        trees = _prefix_trees(s)
+        while True:
+            level = _strict_level(s, trees, n_level, k_order, target)
             if level is not None:
                 total, err, scale = level
                 # the addends can dwarf the value: redo this level with the
                 # digits their cancellation costs, keeping the tail estimate
                 lost = scale * mp.mpf(10) ** -dps / target
                 if lost > 1:
+                    trees = None  # free these leaves before the finer ones are built
                     with mp.workdps(dps + int(mpmath.ceil(mpmath.log10(lost)))):
-                        total = _strict_level(s, n_level, k_order, mp.inf)[0]
+                        total = _strict_level(s, _prefix_trees(s), n_level, k_order, mp.inf)[0]
                 return +total, err
-        if n_level >= cap and k_order >= K_CAP:
-            raise PrecisionUnreachableError(
-                f"zeta value at {list(map(str, s))} did not reach "
-                f"{digits} digits within N={n_level}, K={k_order}"
-            )
-        n_level = min(n_level * 2, cap)
-        k_order = min(k_order + 2, K_CAP)
+            if n_level >= cap and k_order >= K_CAP:
+                bounded = _integral_test_value(s, target)
+                if bounded is not None:
+                    return bounded
+                raise PrecisionUnreachableError(
+                    f"zeta value at {list(map(str, s))} did not reach "
+                    f"{digits} digits within N={n_level}, K={k_order}"
+                )
+            n_level = min(n_level * 2, cap)
+            k_order = min(k_order + 2, K_CAP)
 
 
-def _strict_level(s: Sequence, n_level: int, k_order: int, target):
-    """Truncation below N plus tails at order K: the value, its error
-    estimate and the sum of the addends' sizes; None when the error
+def _prefix_trees(s: Sequence) -> list[_TailShells]:
+    """The strict tail shells of s[:1], .., s[:r], none built yet."""
+    return [_TailShells(s[:j], "strict") for j in range(1, len(s) + 1)]
+
+
+def _strict_level(s: Sequence, trees: list[_TailShells], n_level: int, k_order: int, target):
+    """Truncation below N plus the prefix tails at order K: the value, its
+    error estimate and the sum of the addends' sizes; None when the error
     estimate is not below ``target``."""
+    ests = []
     try:
-        tails = [zeta_tail(s[:j], n_level - 1, k_order) for j in range(1, len(s) + 1)]
+        # prefix by prefix: one whose shells grow stops the level before the
+        # next prefix's shells are built
+        for tree in trees:
+            if tree is trees[-1] and any(est >= target for est in ests):
+                # the level fails whatever this tail's estimate: only build
+                # its shells, so that a pole among them stops the value here
+                tree.grow(k_order + 2)
+                return None
+            ests.append(tree.estimate(n_level - 1, k_order))
     except TailNotConvergingError:
         return None
     # each estimate alone bounds the error below: sweep only when all pass
-    if any(est >= target for _, est in tails):
+    if any(est >= target for est in ests):
         return None
     # the whole truncation and every suffix's, from one sweep
     total, *suffixes = nested_sums(s, (n_level,))[1]
     err, scale = mp.zero, abs(total)
-    for (tail, est), suffix in zip(tails, suffixes):
-        term = tail * suffix
+    for tree, est, suffix in zip(trees, ests, suffixes):
+        term = tree.truncate(n_level - 1, k_order)[0] * suffix
         total += term
         scale += abs(term)
         err += est * max(mp.one, abs(suffix))
     return (total, err, scale) if err < target else None
+
+
+def _integral_test_value(s: Sequence, target):
+    """Truncation below N = MIN_MAX_N and the integral-test bound on its
+    tails, when every Re(s_i) = sigma_i > 1 and the bound is below
+    ``target``; else None.  Dropping the order of the positive sum over
+    n1 > .. > nj >= N bounds |tail(s[:j])| by
+    prod_{i<=j} (N^-sigma_i + N^(1-sigma_i)/(sigma_i-1)).  It serves where
+    (s)_k grows like |s|^k faster than any level's N^-k, as at a huge s.
+    """
+    sigmas = [to_mpc(x).real for x in s]
+    if min(sigmas) <= 1:
+        return None
+    n = MIN_MAX_N
+    total, *suffixes = nested_sums(s, (n,))[1]
+    err, bound = mp.zero, mp.one
+    for sigma, suffix in zip(sigmas, suffixes):
+        bound *= mp.power(n, -sigma) + mp.power(n, 1 - sigma) / (sigma - 1)
+        err += bound * max(mp.one, abs(suffix))
+    return (+total, err) if err < target else None
 
 
 def zeta_tail_via_values(

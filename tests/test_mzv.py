@@ -8,7 +8,12 @@ from mpmath import mp
 
 from mzeta import mzv, stieltjes
 from mzeta.config import to_mpc
-from mzeta.errors import PolarPointError, PoleProximityError, TailNotConvergingError
+from mzeta.errors import (
+    PolarPointError,
+    PoleProximityError,
+    PrecisionUnreachableError,
+    TailNotConvergingError,
+)
 from mzeta.exact import bernoulli, rising
 from mzeta.mzv import (
     K_CAP,
@@ -26,6 +31,18 @@ from mzeta.mzv import (
 )
 
 ZETA3 = mp.mpf("1.2020569031595942853997382")
+
+# values far smaller than their truncation and tails
+CANCELLING = [
+    ((Fraction(-5, 2), Fraction(-5, 2)), 30, "strict"),
+    ((Fraction(1, 4), Fraction(-5, 2)), 30, "strict"),
+    ((Fraction(-3, 4), Fraction(-5, 2)), 50, "strict"),
+    ((Fraction(-3, 4), Fraction(-3, 2)), 50, "strict"),
+    ((Fraction(-5, 2), Fraction(-5, 2), Fraction(3, 2)), 12, "strict"),
+    ((Fraction(1, 2), mp.mpc(-2.5, -1), Fraction(-3, 2)), 12, "star"),
+    ((Fraction(-5, 2), mp.mpc(4, 2), Fraction(-3, 2), Fraction(-5, 2)), 12, "strict"),
+    ((Fraction(-3, 2), Fraction(-3, 2), Fraction(3, 2), mp.mpc(-2.5, 1)), 12, "strict"),
+]
 
 
 class TestTruncations:
@@ -162,19 +179,7 @@ class TestValues:
             assert got == fresh
             assert abs(got - at_three) > 1e-19
 
-    @pytest.mark.parametrize(
-        "s, digits, variant",
-        [
-            ((Fraction(-5, 2), Fraction(-5, 2)), 30, "strict"),
-            ((Fraction(1, 4), Fraction(-5, 2)), 30, "strict"),
-            ((Fraction(-3, 4), Fraction(-5, 2)), 50, "strict"),
-            ((Fraction(-3, 4), Fraction(-3, 2)), 50, "strict"),
-            ((Fraction(-5, 2), Fraction(-5, 2), Fraction(3, 2)), 12, "strict"),
-            ((Fraction(1, 2), mp.mpc(-2.5, -1), Fraction(-3, 2)), 12, "star"),
-            ((Fraction(-5, 2), mp.mpc(4, 2), Fraction(-3, 2), Fraction(-5, 2)), 12, "strict"),
-            ((Fraction(-3, 2), Fraction(-3, 2), Fraction(3, 2), mp.mpc(-2.5, 1)), 12, "strict"),
-        ],
-    )
+    @pytest.mark.parametrize("s, digits, variant", CANCELLING)
     def test_cancelling_addends_keep_the_digits(self, s, digits, variant):
         # truncation and tails far larger than the value: ten more digits
         # must agree with it to the requested ones
@@ -479,7 +484,7 @@ class TestTailOracle:
         add_shell = mzv._TailShells._add_shell
 
         def counted(self):
-            built.append(len(self.shells))
+            built.append(len(self.leaves))
             add_shell(self)
 
         monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
@@ -498,6 +503,135 @@ class TestTailOracle:
             zeta_tail((1 + mp.mpf(10) ** -14, 2), 10, 4)
         with pytest.raises(PoleProximityError, match=r"1/\(s1\+s2\+2-2\) is singular"):
             zeta_tail((Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14), 10, 4)
+
+
+# -- reference: the value ladder that rebuilt every tail at every level -------
+#
+# _strict_value once called zeta_tail afresh for every prefix at every level
+# (N, K).  The ladder over N-free shells, built once per value, must return
+# the same bits, or raise the same error at the same level.
+
+
+def _rebuilding_strict_value(s, digits):
+    target = mp.mpf(10) ** (-(digits + 2))
+    n_level, k_order = mzv.MIN_MAX_N, 4
+    cap = mzv.max_n()
+    dps = mzv.working_dps(digits)
+    while True:
+        with mp.workdps(dps):
+            level = _rebuilding_strict_level(s, n_level, k_order, target)
+            if level is not None:
+                total, err, scale = level
+                lost = scale * mp.mpf(10) ** -dps / target
+                if lost > 1:
+                    with mp.workdps(dps + int(mp.ceil(mp.log10(lost)))):
+                        total = _rebuilding_strict_level(s, n_level, k_order, mp.inf)[0]
+                return +total, err
+        if n_level >= cap and k_order >= K_CAP:
+            raise PrecisionUnreachableError(
+                f"zeta value at {list(map(str, s))} did not reach "
+                f"{digits} digits within N={n_level}, K={k_order}"
+            )
+        n_level = min(n_level * 2, cap)
+        k_order = min(k_order + 2, K_CAP)
+
+
+def _rebuilding_strict_level(s, n_level, k_order, target):
+    try:
+        tails = [zeta_tail(s[:j], n_level - 1, k_order) for j in range(1, len(s) + 1)]
+    except TailNotConvergingError:
+        return None
+    if any(est >= target for _, est in tails):
+        return None
+    total, *suffixes = nested_sums(s, (n_level,))[1]
+    err, scale = mp.zero, abs(total)
+    for (tail, est), suffix in zip(tails, suffixes):
+        term = tail * suffix
+        total += term
+        scale += abs(term)
+        err += est * max(mp.one, abs(suffix))
+    return (total, err, scale) if err < target else None
+
+
+def _ladder_outcome(fn, s, digits):
+    """(value bits, estimate bits), or the exception type and message."""
+    try:
+        value, est = fn(s, digits)
+    except (PoleProximityError, PrecisionUnreachableError) as exc:
+        return type(exc), str(exc)
+    return value._mpc_, est._mpf_
+
+
+class TestValueLadderOracle:
+    def test_seeded_points_match_the_rebuilding_ladder(self):
+        rng = random.Random(20190215)
+        cases = []
+        while len(cases) < 16:
+            depth = rng.randint(1, 4)
+            s = _random_point(rng, depth)
+            if polar_description(s) is None:
+                cases.append((s, (12, 30, 50)[len(cases) % 3] if depth < 4 else 12))
+        for s, digits in cases:
+            assert _ladder_outcome(mzv._strict_value, s, digits) == _ladder_outcome(
+                _rebuilding_strict_value, s, digits
+            ), (s, digits)
+
+    @pytest.mark.parametrize("s, digits, variant", CANCELLING)
+    def test_second_pass_matches_the_rebuilding_ladder(self, s, digits, variant, monkeypatch):
+        # replay every ladder the value climbs, at the caller's precision,
+        # and check that one of them took the cancellation guard's second pass
+        ladders, second_passes = [], []
+        strict_value, strict_level = mzv._strict_value, mzv._strict_level
+
+        def recorded(point, point_digits):
+            ladders.append((point, point_digits, mp.prec))
+            return strict_value(point, point_digits)
+
+        def level(point, trees, n_level, k_order, target):
+            second_passes.append(target == mp.inf)
+            return strict_level(point, trees, n_level, k_order, target)
+
+        monkeypatch.setattr(mzv, "_strict_value", recorded)
+        monkeypatch.setattr(mzv, "_strict_level", level)
+        zeta_value_with_error.cache.clear()
+        zeta_value_with_error(s, digits, variant)
+        monkeypatch.undo()
+        assert ladders and any(second_passes)
+        for point, point_digits, prec in ladders:
+            with mp.workprec(prec):
+                new = _ladder_outcome(mzv._strict_value, point, point_digits)
+                old = _ladder_outcome(_rebuilding_strict_value, point, point_digits)
+            assert new == old, point
+
+    def test_pole_proximity_fires_at_the_same_level(self):
+        for s in [(1 + mp.mpf(10) ** -14, 2), (Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14)]:
+            new = _ladder_outcome(mzv._strict_value, s, 12)
+            assert new == _ladder_outcome(_rebuilding_strict_value, s, 12)
+            assert new[0] is PoleProximityError
+
+    def test_each_shell_is_built_once_per_value(self, monkeypatch):
+        built, levels = {}, []
+        add_shell, strict_level = mzv._TailShells._add_shell, mzv._strict_level
+
+        def counted(self):
+            built.setdefault(self, []).append(len(self.leaves))
+            add_shell(self)
+
+        def level(s, trees, n_level, k_order, target):
+            levels.append(k_order)
+            return strict_level(s, trees, n_level, k_order, target)
+
+        monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
+        monkeypatch.setattr(mzv, "_strict_level", level)
+        s = (Fraction(-5, 2), Fraction(1, 3), Fraction(5, 2))
+        zeta_value_with_error.cache.clear()
+        zeta_value_with_error(s, 30)
+        # the second pass of the cancellation guard builds its own trees
+        assert len(levels) > 2 and sorted(len(tree.ss) for tree in built) == [1, 1, 2, 2, 3, 3]
+        for tree, shells in built.items():
+            assert shells == list(range(len(shells)))
+            if len(tree.ss) == 3:
+                assert len(shells) == levels[-1] + 3
 
 
 # -- reference: the level-by-level running sums -------------------------------
