@@ -24,6 +24,7 @@ between continued values occurs away from the polar set.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import pairwise, product
 from math import prod
@@ -185,8 +186,10 @@ class _TailShells:
     Shell m sums the expansion terms over the k-tuples with |k| = m.  Each
     term is a leaf, the chain product times prod B_k/k!, times the one factor
     N^(r-|s|-m) that depends on N.  A shell is built once, when first needed,
-    and keeps its leaves, so neither growing K nor moving N rebuilds it;
-    evaluating it at N multiplies each leaf by that power and adds them up.
+    and keeps its leaves and its norm, the sum of their sizes, so neither
+    growing K nor moving N rebuilds it.  Its size at N, the sum of its terms'
+    sizes, is then the norm times |N^(r-|s|-m)| up to roundings; evaluating
+    the shell itself multiplies each leaf by that power and adds them up.
     Each prefix (k_1..k_j) of a tuple is a node of a prefix tree holding its
     chain product, its coefficient prod B_k/k! and the running product of its
     next Pochhammer factor, which each new shell advances by one step.  The
@@ -202,67 +205,131 @@ class _TailShells:
         self.ss = [to_mpc(x) for x in s]
         self.total_s = mp.fsum(x.real for x in self.ss) + 1j * mp.fsum(x.imag for x in self.ss)
         self.leaves: list[list] = []  # leaves[m]: shell m's raw mpc leaves, in flat order
+        self.norms: list = []  # norms[m]: (sum of |leaf| over shell m, the precision it was built at)
         self.root = _TailNode(mpc_one, Fraction(1), mpc_zero, 0, 0, self.ss) if s else None
-        self._at_key, self._at = None, {}  # (value, size) of each shell at the last N
+        # per shell at the last N: its value or size from the terms, (low, high) from the norm
+        self._at_key, self._at, self._bounds_at = None, {}, {}
 
     def truncate(self, n_from: int, k_order: int) -> tuple[mpmath.mpc, mpmath.mpf]:
         """Shells |k| <= k_order summed at N = n_from, and the
         first-omitted-shell estimate."""
         estimate = self.estimate(n_from, k_order)
+        return self.value(n_from, k_order), estimate
+
+    def value(self, n_from: int, k_order: int) -> mpmath.mpc:
+        """Shells |k| <= k_order summed at N = n_from, once they are built."""
         if self.root is None:
-            return mp.mpc(1), estimate
+            return mp.mpc(1)
         value = mp.mpc(0)
         for m in range(k_order + 1):
-            value += self._shell_at(n_from, m)[0]
-        return value, estimate
+            value += self._shell_at(n_from, m)
+        return value
 
-    def estimate(self, n_from: int, k_order: int) -> mpmath.mpf:
-        """The first-omitted-shell estimate at N = n_from; a
-        TailNotConvergingError when the shells grow there."""
+    def estimate(self, n_from: int, k_order: int, target=mp.inf) -> mpmath.mpf:
+        """The first-omitted-shell estimate at N = n_from, from the terms'
+        sizes; a TailNotConvergingError when the shells grow there.  Where
+        the norms settle that the estimate is not below ``target``, a lower
+        bound of it, and no leaf is evaluated."""
+        low, _ = self.bounds(n_from, k_order)
+        if low >= target:
+            return low
+        if self.root is None:
+            return mp.zero
+        return max(self._shell_at(n_from, m, size=True) for m in (k_order + 1, k_order + 2))
+
+    def bounds(self, n_from: int, k_order: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+        """Low and high bounds of the estimate at N = n_from from the norms;
+        a TailNotConvergingError when the shells grow there, judged from the
+        norms where they settle it and from the terms where they do not."""
         if n_from < 2:
             raise ValueError("tail expansions require N >= 2")
         if self.root is None:
-            return mp.zero
+            return mp.zero, mp.zero
         self.grow(k_order + 2)
-
-        def size(m: int) -> mpmath.mpf:
-            return self._shell_at(n_from, m)[1]
-
-        estimate = max(size(k_order + 1), size(k_order + 2))
-        if k_order >= 4:
-            last = max(size(k_order - 1), size(k_order))
-            older = max(size(k_order - 3), size(k_order - 2))
-            if estimate > last > older:
-                raise TailNotConvergingError(f"tail shells are growing at N={n_from}, K={k_order}")
+        estimate, growing = self._verdict(self._bound, n_from, k_order)
+        if growing is None:
+            growing = self._verdict(self._size, n_from, k_order)[1]
+        if growing:
+            raise TailNotConvergingError(f"tail shells are growing at N={n_from}, K={k_order}")
         return estimate
+
+    @staticmethod
+    def _verdict(size, n_from: int, k_order: int) -> tuple[tuple, bool | None]:
+        """The estimate's (low, high) and whether the shells grow at order K
+        (True, False, or None when the sizes' bounds leave it open), from
+        ``size(n_from, m)``, a (low, high) pair for shell m."""
+
+        def larger(m: int) -> tuple:  # (low, high) of the larger of shells m, m+1
+            (low, high), (low_next, high_next) = size(n_from, m), size(n_from, m + 1)
+            return max(low, low_next), max(high, high_next)
+
+        estimate = larger(k_order + 1)
+        if k_order < 4:
+            return estimate, False
+        last, older = larger(k_order - 1), larger(k_order - 3)
+        # "estimate > last > older", settled when the bounds do not overlap
+        if estimate[0] > last[1] and last[0] > older[1]:
+            return estimate, True
+        if estimate[1] <= last[0] or last[1] <= older[0]:
+            return estimate, False
+        return estimate, None
 
     def grow(self, top: int) -> None:
         """Build the shells up to |k| = top that are not built yet."""
         while len(self.leaves) <= top:
             self._add_shell()
 
-    def _shell_at(self, n_from: int, m: int) -> tuple[mpmath.mpc, mpmath.mpf]:
-        """Shell m at N = n_from and the sum of its terms' sizes."""
+    def _bound(self, n_from: int, m: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+        """Low and high bounds of shell m's size at N = n_from: its norm times
+        |N^(r-|s|-m)|, widened by the roundings that separate the two sums."""
+        self._cache(n_from)
+        if m not in self._bounds_at:
+            norm, prec = self.norms[m]
+            low = high = mp.zero
+            if norm:
+                size = norm * mp.power(n_from, (len(self.ss) - self.total_s - m).real)
+                slack = (4 * len(self.leaves[m]) + 16) * mp.ldexp(1, -min(prec, mp.prec))
+                low, high = size * (1 - slack), size * (1 + slack)
+            self._bounds_at[m] = low, high
+        return self._bounds_at[m]
+
+    def _size(self, n_from: int, m: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+        """Shell m's size at N = n_from, from its terms, as a (low, high) pair."""
+        size = self._shell_at(n_from, m, size=True)
+        return size, size
+
+    def _cache(self, n_from: int) -> None:
         key = (n_from, mp.prec)
         if key != self._at_key:
-            self._at_key, self._at = key, {}
-        if m not in self._at:
-            value, size = mpc_zero, fzero
+            self._at_key, self._at, self._bounds_at = key, {}, {}
+
+    def _shell_at(self, n_from: int, m: int, size: bool = False):
+        """Shell m at N = n_from, or with ``size`` the sum of its terms' sizes."""
+        self._cache(n_from)
+        if (m, size) not in self._at:
+            total = fzero if size else mpc_zero
             if self.leaves[m]:
                 prec, rnd = mp._prec_rounding
                 power = mp.power(n_from, len(self.ss) - self.total_s - m)._mpc_
                 for leaf in self.leaves[m]:
                     term = mpc_mul(leaf, power, prec, rnd)
-                    value = mpc_add(value, term, prec, rnd)
-                    size = mpf_add(size, mpc_abs(term, prec, rnd), prec, rnd)
-            self._at[m] = mp.make_mpc(value), mp.make_mpf(size)
-        return self._at[m]
+                    if size:
+                        total = mpf_add(total, mpc_abs(term, prec, rnd), prec, rnd)
+                    else:
+                        total = mpc_add(total, term, prec, rnd)
+            self._at[m, size] = mp.make_mpf(total) if size else mp.make_mpc(total)
+        return self._at[m, size]
 
     def _add_shell(self) -> None:
         m = len(self.leaves)
         leaves: list = []
         self._visit(self.root, m, bernoulli_ratios(m, self.star), leaves)
+        prec, rnd = mp._prec_rounding
+        norm = fzero
+        for leaf in leaves:
+            norm = mpf_add(norm, mpc_abs(leaf, prec, rnd), prec, rnd)
         self.leaves.append(leaves)
+        self.norms.append((mp.make_mpf(norm), prec))
 
     def _visit(self, node: _TailNode, rest: int, ratios: tuple, leaves: list) -> None:
         """Advance ``node`` to k_(j+1) = rest and append the leaves of its
@@ -342,9 +409,9 @@ def _tail_auto(
     shells = _TailShells(s, variant)
     best = mp.inf
     for k_order in range(4, K_CAP + 1, 2):
-        value, est = shells.truncate(n_from, k_order)
+        est = shells.estimate(n_from, k_order, target)
         if est < target:
-            return value, est
+            return shells.value(n_from, k_order), est
         best = min(best, est)
     raise TailNotConvergingError(f"tail at N={n_from} stalls at estimate {mpmath.nstr(best)}")
 
@@ -414,12 +481,14 @@ def zeta_value(s: Sequence, digits: int = 12, variant: str = "strict") -> mpmath
 
 def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
     target = mp.mpf(10) ** (-(digits + 2))
-    n_level, k_order = MIN_MAX_N, 4  # the least cap: no level passes the cap
     cap = max_n()
     dps = working_dps(digits)
     with mp.workdps(dps):
         trees = _prefix_trees(s)
-        while True:
+        planned = _planned_levels(s, trees, target, cap)
+        if planned is None:  # a pole among the shells: the ladder meets it where it always did
+            trees, planned = _prefix_trees(s), []
+        for n_level, k_order in planned + [lv for lv in _ladder(cap) if lv not in planned]:
             level = _strict_level(s, trees, n_level, k_order, target)
             if level is not None:
                 total, err, scale = level
@@ -431,16 +500,24 @@ def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
                     with mp.workdps(dps + int(mpmath.ceil(mpmath.log10(lost)))):
                         total = _strict_level(s, _prefix_trees(s), n_level, k_order, mp.inf)[0]
                 return +total, err
-            if n_level >= cap and k_order >= K_CAP:
-                bounded = _integral_test_value(s, target)
-                if bounded is not None:
-                    return bounded
-                raise PrecisionUnreachableError(
-                    f"zeta value at {list(map(str, s))} did not reach "
-                    f"{digits} digits within N={n_level}, K={k_order}"
-                )
-            n_level = min(n_level * 2, cap)
-            k_order = min(k_order + 2, K_CAP)
+        bounded = _integral_test_value(s, target)
+        if bounded is not None:
+            return bounded
+        raise PrecisionUnreachableError(
+            f"zeta value at {list(map(str, s))} did not reach "
+            f"{digits} digits within N={cap}, K={K_CAP}"
+        )
+
+
+def _ladder(cap: int) -> Iterator[tuple[int, int]]:
+    """The doubling ladder of levels (N, K): N = 16, 32, .. up to the cap
+    (no level passes it) and K = 4, 6, .. up to K_CAP, both ending there."""
+    n_level, k_order = MIN_MAX_N, 4
+    while True:
+        yield n_level, k_order
+        if n_level >= cap and k_order >= K_CAP:
+            return
+        n_level, k_order = min(n_level * 2, cap), min(k_order + 2, K_CAP)
 
 
 def _prefix_trees(s: Sequence) -> list[_TailShells]:
@@ -448,31 +525,166 @@ def _prefix_trees(s: Sequence) -> list[_TailShells]:
     return [_TailShells(s[:j], "strict") for j in range(1, len(s) + 1)]
 
 
+# Seconds per operation, timed over the values of perfbench's values pool on
+# a 2-CPU Intel Xeon with mpmath's pure-Python backend (their ratios are what
+# matter): building one tail leaf with its size, evaluating one leaf at some
+# N, the power of N that each evaluated shell takes, and one sweep term (one
+# of the N (distinct exponents + 2r)).
+LEAF_BUILD_S, LEAF_EVAL_S, SHELL_EVAL_S, SWEEP_TERM_S = 35e-6, 14e-6, 40e-6, 10e-6
+
+
+def _planned_levels(s: Sequence, trees: list[_TailShells], target, cap: int):
+    """The levels (N, K) whose estimates the shell norms predict to pass,
+    cheapest first; None when a shell meets a pole while they grow.
+
+    N runs over the ladder's N and K over its orders 4, 6, .., K_CAP.
+    Shell m of prefix j has size norm * N^(j-Re|s_1..s_j|-m) at N, so each
+    prefix's estimate and growth test are known at every N once its shells
+    are built.  Each suffix sum of the sweep is bounded by the product of
+    its indices' one-index sums, each over the range its place in the chain
+    allows, so a predicted level fails only at a rounding's edge.  A level
+    costs its sweep and the evaluation of its shells; K grows while a level
+    of some higher order, its shells extrapolated from the last ones and
+    their building charged, is predicted to be cheaper than the best so far.
+    """
+    r = len(s)
+    log_target = float(mpmath.log(target))
+    ns = sorted({n for n, _ in _ladder(cap)})
+    sigmas = [float(to_mpc(x).real) for x in s]
+    heads = [float(tree.total_s.real) for tree in trees]
+    distinct = len({to_mpc(x)._mpc_ for x in s})
+    # per N: ln(N-1), the sweep's cost and each prefix's ln suffix bound
+    at = []
+    for n in ns:
+        # the suffix s[j:] sums over N > n_(j+1) > .. > n_r >= 1, so its index
+        # i places down from the top runs over r-j-i .. N-1-i
+        bounds = [
+            sum(_log_power_sum(sigma, r - j - i, n - 1 - i) for i, sigma in enumerate(sigmas[j:]))
+            for j in range(1, r + 1)
+        ]
+        at.append((n, math.log(n - 1), (n - 1) * (distinct + 2 * r) * SWEEP_TERM_S, bounds))
+    logs: list[list[float]] = [[] for _ in trees]  # ln(norm) of each built shell
+    counts: list[list[int]] = [[] for _ in trees]  # its number of leaves
+
+    def shell(j: int, m: int) -> tuple[float, int]:
+        """ln(norm) and leaf count of prefix j's shell m; past the built
+        ones, geometric in m from the last two of the same parity."""
+        top = len(logs[j]) - 1
+        if m <= top:
+            return logs[j][m], counts[j][m]
+        t = top - (m - top) % 2
+        a, b = logs[j][t], logs[j][t - 2]
+        return (a + (m - t) // 2 * (a - b) if b > -math.inf else a), counts[j][t]
+
+    def cheapest(k_order: int, best: float) -> tuple[float, int]:
+        """The cheapest (cost, N) predicted to pass at order K and to cost
+        less than ``best``: N = 0 when none is, -1 when no N costs less."""
+        cost = r * (k_order + 3) * SHELL_EVAL_S
+        for j in range(r):
+            built = len(counts[j])
+            cost += sum(counts[j][: k_order + 3]) * LEAF_EVAL_S
+            for m in range(built, k_order + 3):
+                cost += shell(j, m)[1] * (LEAF_EVAL_S + LEAF_BUILD_S)
+        if cost + at[0][2] >= best:
+            return math.inf, -1
+        window = [[shell(j, m)[0] for m in range(k_order - 3, k_order + 3)] for j in range(r)]
+        for n, log_n, sweep, suffix_bounds in at:
+            if cost + sweep >= best:
+                break
+            error = _predicted_error(window, heads, suffix_bounds, log_n, k_order)
+            if error < log_target:
+                return cost + sweep, n
+        return math.inf, 0
+
+    candidates, best = [], math.inf
+    for k_order in range(4, K_CAP + 1, 2):
+        try:
+            for tree in trees:
+                tree.grow(k_order + 2)
+        except PoleProximityError:
+            return None
+        for tree, log_norms, sizes in zip(trees, logs, counts):
+            for norm, _ in tree.norms[len(log_norms) :]:
+                log_norms.append(float(mpmath.log(norm)) if norm else -math.inf)
+                sizes.append(len(tree.leaves[len(sizes)]))
+        cost, n_level = cheapest(k_order, best)
+        if n_level > 0:
+            candidates.append((cost, n_level, k_order))
+            best = cost
+        # grow while some higher order is predicted to be cheaper: look up to
+        # the first that is, or the first whose shells alone cost more
+        ahead = (cheapest(k, best)[1] for k in range(k_order + 2, K_CAP + 1, 2))
+        if next((n for n in ahead if n), 0) <= 0:
+            break
+    return [(n_level, k_order) for _, n_level, k_order in sorted(candidates)]
+
+
+def _predicted_error(window: list, heads: list, suffix_bounds: list, log_n: float, k_order: int) -> float:
+    """ln of a level's error estimate at N predicted from the prefixes' ln
+    norms of shells K-3..K+2 (``window``), or inf when a prefix's shells
+    grow; ``heads`` are the prefixes' Re|s_1..s_j| and ``suffix_bounds`` the
+    ln bounds of their suffix sums."""
+    terms = []
+    for j, (log_norms, head, bound) in enumerate(zip(window, heads, suffix_bounds), start=1):
+        size = [a - m * log_n for m, a in enumerate(log_norms, start=k_order - 3)]
+        estimate, last, older = max(size[4:]), max(size[2:4]), max(size[:2])
+        if estimate > last > older:
+            return math.inf
+        terms.append(estimate + (j - head) * log_n + max(bound, 0.0))
+    top = max(terms)
+    if top == -math.inf:
+        return top
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def _log_power_sum(sigma: float, low: int, high: int) -> float:
+    """ln of a bound of sum_(low <= n <= high) n^-sigma: the larger end
+    term plus the integral over [low, high]."""
+    a, log_low, log_high = 1.0 - sigma, math.log(low), math.log(high)
+    ends = -sigma * max(log_low, log_high) if sigma < 0 else -sigma * log_low
+    if high == low:
+        return ends
+    if a == 0:
+        area = math.log(log_high - log_low)
+    elif a > 0:
+        area = a * log_high + math.log(-math.expm1(a * (log_low - log_high))) - math.log(a)
+    else:
+        area = a * log_low + math.log(-math.expm1(a * (log_high - log_low))) - math.log(-a)
+    top = max(ends, area)
+    return top + math.log1p(math.exp(min(ends, area) - top))
+
+
 def _strict_level(s: Sequence, trees: list[_TailShells], n_level: int, k_order: int, target):
     """Truncation below N plus the prefix tails at order K: the value, its
     error estimate and the sum of the addends' sizes; None when the error
-    estimate is not below ``target``."""
-    ests = []
+    estimate is not below ``target``.  A level that the shell norms fail
+    evaluates no leaf."""
+    n_from = n_level - 1
+    lows = []
     try:
         # prefix by prefix: one whose shells grow stops the level before the
         # next prefix's shells are built
         for tree in trees:
-            if tree is trees[-1] and any(est >= target for est in ests):
+            if tree is trees[-1] and any(low >= target for low in lows):
                 # the level fails whatever this tail's estimate: only build
                 # its shells, so that a pole among them stops the value here
                 tree.grow(k_order + 2)
                 return None
-            ests.append(tree.estimate(n_level - 1, k_order))
+            lows.append(tree.bounds(n_from, k_order)[0])
     except TailNotConvergingError:
         return None
-    # each estimate alone bounds the error below: sweep only when all pass
+    # each estimate alone bounds the error below: sum terms and sweep only
+    # when all may pass
+    if any(low >= target for low in lows):
+        return None
+    ests = [tree.estimate(n_from, k_order) for tree in trees]
     if any(est >= target for est in ests):
         return None
     # the whole truncation and every suffix's, from one sweep
     total, *suffixes = nested_sums(s, (n_level,))[1]
     err, scale = mp.zero, abs(total)
     for tree, est, suffix in zip(trees, ests, suffixes):
-        term = tree.truncate(n_level - 1, k_order)[0] * suffix
+        term = tree.value(n_from, k_order) * suffix
         total += term
         scale += abs(term)
         err += est * max(mp.one, abs(suffix))

@@ -223,6 +223,28 @@ class TestZetaCommand:
             assert (code, out.splitlines()[0]) == (0, mp.nstr(gamma00, 50, strip_zeros=False))
         assert last and max(last) <= 256
 
+    def test_fifty_digit_value_sums_no_index_past_256(self, capsys, monkeypatch):
+        # the value route plans its N and K from the shell norms instead of
+        # doubling N (to 2048 here): a deterministic guard on the schedule
+        last = []
+
+        def spy(s, tops, *args, **kwargs):
+            last.append(max(tops) - 1)  # the largest index summed
+            return nested_sums(s, tops, *args, **kwargs)
+
+        monkeypatch.delenv("MZETA_MAX_N", raising=False)
+        monkeypatch.setattr(mzv, "nested_sums", spy)
+        mzv.zeta_value_with_error.cache.clear()
+        code, out, _ = run_cli(capsys, "zeta", "--args=0.25,-1.5+0.5i", "--digits=50")
+        with mp.workdps(70):  # perfbench's 60-digit reference, rounded to 50
+            ref = mp.mpc(
+                "-0.00694976597239280988180815320389775787766145236671070103147071",
+                "0.0307518809934030802416455689369904905843333683131925590017193",
+            )
+            expect = f"{mp.nstr(ref.real, 50, strip_zeros=False)}+{mp.nstr(ref.imag, 50, strip_zeros=False)}j"
+        assert (code, out.splitlines()[0]) == (0, expect)
+        assert last and max(last) <= 256
+
     def test_depth_cap_above_value_cap_is_parse_error(self, capsys):
         too_deep = ",".join(["1"] * (DEPTH_CAP + 1))
         code, _, err = run_cli(capsys, "zeta", f"--args={too_deep}", f"--depth-cap={DEPTH_CAP + 2}")

@@ -505,35 +505,12 @@ class TestTailOracle:
             zeta_tail((Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14), 10, 4)
 
 
-# -- reference: the value ladder that rebuilt every tail at every level -------
+# -- reference: each visited level rebuilt from scratch ----------------------
 #
 # _strict_value once called zeta_tail afresh for every prefix at every level
-# (N, K).  The ladder over N-free shells, built once per value, must return
-# the same bits, or raise the same error at the same level.
-
-
-def _rebuilding_strict_value(s, digits):
-    target = mp.mpf(10) ** (-(digits + 2))
-    n_level, k_order = mzv.MIN_MAX_N, 4
-    cap = mzv.max_n()
-    dps = mzv.working_dps(digits)
-    while True:
-        with mp.workdps(dps):
-            level = _rebuilding_strict_level(s, n_level, k_order, target)
-            if level is not None:
-                total, err, scale = level
-                lost = scale * mp.mpf(10) ** -dps / target
-                if lost > 1:
-                    with mp.workdps(dps + int(mp.ceil(mp.log10(lost)))):
-                        total = _rebuilding_strict_level(s, n_level, k_order, mp.inf)[0]
-                return +total, err
-        if n_level >= cap and k_order >= K_CAP:
-            raise PrecisionUnreachableError(
-                f"zeta value at {list(map(str, s))} did not reach "
-                f"{digits} digits within N={n_level}, K={k_order}"
-            )
-        n_level = min(n_level * 2, cap)
-        k_order = min(k_order + 2, K_CAP)
+# (N, K) of a doubling ladder.  Whatever levels the schedule now visits, each
+# must return the same bits as that rebuilding level, or raise the same error,
+# and the value must be the one its last passing level gives.
 
 
 def _rebuilding_strict_level(s, n_level, k_order, target):
@@ -553,17 +530,67 @@ def _rebuilding_strict_level(s, n_level, k_order, target):
     return (total, err, scale) if err < target else None
 
 
-def _ladder_outcome(fn, s, digits):
-    """(value bits, estimate bits), or the exception type and message."""
+def _level_bits(level):
+    """(total, err, scale) as raw tuples, or None."""
+    return level and (level[0]._mpc_, level[1]._mpf_, level[2]._mpf_)
+
+
+def _record_levels(monkeypatch):
+    """Spy on mzv._strict_level: the list it fills with (point, N, K,
+    target, precision, outcome bits or (error type, message)) per call."""
+    visited = []
+    strict_level = mzv._strict_level
+
+    def level(point, trees, n_level, k_order, target):
+        record = [tuple(point), n_level, k_order, target, mp.prec]
+        visited.append(record)
+        try:
+            out = strict_level(point, trees, n_level, k_order, target)
+        except PoleProximityError as exc:
+            record.append((type(exc), str(exc)))
+            raise
+        record.append(_level_bits(out))
+        return out
+
+    monkeypatch.setattr(mzv, "_strict_level", level)
+    return visited
+
+
+def _assert_levels_replay(visited):
+    for point, n_level, k_order, target, prec, outcome in visited:
+        with mp.workprec(prec):
+            try:
+                old = _level_bits(_rebuilding_strict_level(point, n_level, k_order, target))
+            except PoleProximityError as exc:
+                old = (type(exc), str(exc))
+        assert outcome == old, (point, n_level, k_order)
+
+
+def _strict_value_replays(s, digits, monkeypatch):
+    """_strict_value's outcome, with every visited level replayed by the
+    rebuilding level and the value traced back to its last passing one."""
+    visited = _record_levels(monkeypatch)
     try:
-        value, est = fn(s, digits)
+        value, err = mzv._strict_value(s, digits)
     except (PoleProximityError, PrecisionUnreachableError) as exc:
+        monkeypatch.undo()
+        _assert_levels_replay(visited)
+        assert all(record[-1] is None for record in visited[:-1])
         return type(exc), str(exc)
-    return value._mpc_, est._mpf_
+    monkeypatch.undo()
+    _assert_levels_replay(visited)
+    # every level fails until one passes; a second pass may redo that one
+    passed = [i for i, record in enumerate(visited) if record[-1] is not None]
+    first, last = visited[passed[0]], visited[passed[-1]]
+    assert passed[-1] <= passed[0] + 1 and last[1:3] == first[1:3]
+    with mp.workprec(first[4]):
+        expect = +mp.make_mpc(last[-1][0])
+    assert (value._mpc_, err._mpf_) == (expect._mpc_, first[-1][1])
+    return value._mpc_, err._mpf_
 
 
 class TestValueLadderOracle:
-    def test_seeded_points_match_the_rebuilding_ladder(self):
+    def test_seeded_points_match_the_rebuilding_ladder(self, monkeypatch):
         rng = random.Random(20190215)
         cases = []
         while len(cases) < 16:
@@ -571,67 +598,145 @@ class TestValueLadderOracle:
             s = _random_point(rng, depth)
             if polar_description(s) is None:
                 cases.append((s, (12, 30, 50)[len(cases) % 3] if depth < 4 else 12))
+        outcomes = set()
         for s, digits in cases:
-            assert _ladder_outcome(mzv._strict_value, s, digits) == _ladder_outcome(
-                _rebuilding_strict_value, s, digits
-            ), (s, digits)
+            outcome = _strict_value_replays(s, digits, monkeypatch)
+            outcomes.add(outcome[0] if isinstance(outcome[0], type) else tuple)
+        assert tuple in outcomes
 
     @pytest.mark.parametrize("s, digits, variant", CANCELLING)
     def test_second_pass_matches_the_rebuilding_ladder(self, s, digits, variant, monkeypatch):
-        # replay every ladder the value climbs, at the caller's precision,
-        # and check that one of them took the cancellation guard's second pass
-        ladders, second_passes = [], []
-        strict_value, strict_level = mzv._strict_value, mzv._strict_level
+        # replay every level that the value's strict values visit, at the
+        # caller's precision, on the ladder alone and on the planned levels;
+        # on the ladder one of them takes the cancellation guard's second
+        # pass (the planned level's smaller N can spare it)
+        for ladder_only in (True, False):
+            if ladder_only:
+                monkeypatch.setattr(mzv, "_planned_levels", lambda *args: [])
+            visited = _record_levels(monkeypatch)
+            zeta_value_with_error.cache.clear()
+            zeta_value_with_error(s, digits, variant)
+            monkeypatch.undo()
+            if ladder_only:
+                assert any(record[3] == mp.inf for record in visited)
+            _assert_levels_replay(visited)
 
-        def recorded(point, point_digits):
-            ladders.append((point, point_digits, mp.prec))
-            return strict_value(point, point_digits)
-
-        def level(point, trees, n_level, k_order, target):
-            second_passes.append(target == mp.inf)
-            return strict_level(point, trees, n_level, k_order, target)
-
-        monkeypatch.setattr(mzv, "_strict_value", recorded)
-        monkeypatch.setattr(mzv, "_strict_level", level)
-        zeta_value_with_error.cache.clear()
-        zeta_value_with_error(s, digits, variant)
-        monkeypatch.undo()
-        assert ladders and any(second_passes)
-        for point, point_digits, prec in ladders:
-            with mp.workprec(prec):
-                new = _ladder_outcome(mzv._strict_value, point, point_digits)
-                old = _ladder_outcome(_rebuilding_strict_value, point, point_digits)
-            assert new == old, point
-
-    def test_pole_proximity_fires_at_the_same_level(self):
+    def test_pole_proximity_fires_at_the_same_level(self, monkeypatch):
         for s in [(1 + mp.mpf(10) ** -14, 2), (Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14)]:
-            new = _ladder_outcome(mzv._strict_value, s, 12)
-            assert new == _ladder_outcome(_rebuilding_strict_value, s, 12)
+            new = _strict_value_replays(s, 12, monkeypatch)
             assert new[0] is PoleProximityError
 
     def test_each_shell_is_built_once_per_value(self, monkeypatch):
-        built, levels = {}, []
-        add_shell, strict_level = mzv._TailShells._add_shell, mzv._strict_level
-
-        def counted(self):
-            built.setdefault(self, []).append(len(self.leaves))
-            add_shell(self)
-
-        def level(s, trees, n_level, k_order, target):
-            levels.append(k_order)
-            return strict_level(s, trees, n_level, k_order, target)
-
-        monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
-        monkeypatch.setattr(mzv, "_strict_level", level)
         s = (Fraction(-5, 2), Fraction(1, 3), Fraction(5, 2))
-        zeta_value_with_error.cache.clear()
-        zeta_value_with_error(s, 30)
-        # the second pass of the cancellation guard builds its own trees
-        assert len(levels) > 2 and sorted(len(tree.ss) for tree in built) == [1, 1, 2, 2, 3, 3]
-        for tree, shells in built.items():
-            assert shells == list(range(len(shells)))
-            if len(tree.ss) == 3:
-                assert len(shells) == levels[-1] + 3
+        for ladder_only in (True, False):
+            built, levels = {}, []
+            add_shell, strict_level = mzv._TailShells._add_shell, mzv._strict_level
+
+            def counted(self):
+                built.setdefault(self, []).append(len(self.leaves))
+                add_shell(self)
+
+            def level(s, trees, n_level, k_order, target):
+                levels.append(k_order)
+                return strict_level(s, trees, n_level, k_order, target)
+
+            monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
+            monkeypatch.setattr(mzv, "_strict_level", level)
+            if ladder_only:
+                monkeypatch.setattr(mzv, "_planned_levels", lambda *args: [])
+            zeta_value_with_error.cache.clear()
+            zeta_value_with_error(s, 30)
+            monkeypatch.undo()
+            if ladder_only:
+                # the second pass of the cancellation guard builds its own trees
+                assert len(levels) > 2 and sorted(len(tree.ss) for tree in built) == [1, 1, 2, 2, 3, 3]
+            for tree, shells in built.items():
+                assert shells == list(range(len(shells)))
+                if len(tree.ss) == 3:
+                    assert len(shells) == max(levels) + 3
+
+
+class TestShellNorms:
+    def test_closed_form_size_matches_the_terms(self):
+        # a shell's size at N is its norm times |N^(r-|s|-m)|: the sum of
+        # its terms' sizes to a few ulps, inside the bounds that decide levels
+        rng = random.Random(20190216)
+        checked = 0
+        while checked < 12:
+            s = _random_point(rng, rng.randint(1, 3))
+            with mp.workdps(rng.choice((20, 50))):
+                tree = mzv._TailShells(s, rng.choice(("strict", "star")))
+                try:
+                    tree.grow(20)
+                except PoleProximityError:
+                    continue
+                for n_from, m in product((2, 5, 16, 1024), range(21)):
+                    size = tree._shell_at(n_from, m, size=True)
+                    norm = tree.norms[m][0]
+                    closed = norm * mp.power(n_from, (len(tree.ss) - tree.total_s - m).real)
+                    low, high = tree._bound(n_from, m)
+                    assert low <= size <= high
+                    ulps = (len(tree.leaves[m]) + 8) * mp.ldexp(size, -mp.prec)
+                    assert abs(closed - size) <= ulps, (s, n_from, m)
+            checked += 1
+
+    def test_failing_level_evaluates_no_leaf(self, monkeypatch):
+        # levels whose estimates fail, including ones where an earlier
+        # prefix's estimate passes, sum no shell and sweep nothing
+        evaluated, swept = [], []
+        shell_at = mzv._TailShells._shell_at
+
+        def spy_shell(self, n_from, m, size=False):
+            evaluated.append(m)
+            return shell_at(self, n_from, m, size)
+
+        def spy_sweep(*args, **kwargs):
+            swept.append(args)
+            return nested_sums(*args, **kwargs)
+
+        monkeypatch.setattr(mzv._TailShells, "_shell_at", spy_shell)
+        monkeypatch.setattr(mzv, "nested_sums", spy_sweep)
+        failed = first_passes = 0
+        points = [(Fraction(1, 4), mp.mpc(-1.5, 0.5)), (4, Fraction(1, 4), Fraction(-5, 2), 4), (Fraction(9, 2),)]
+        for s in points:
+            with mp.workdps(60):
+                target = mp.mpf(10) ** -52
+                trees = mzv._prefix_trees(s)
+                for n_level, k_order in mzv._ladder(mzv.max_n()):
+                    evaluated.clear()
+                    swept.clear()
+                    if mzv._strict_level(s, trees, n_level, k_order, target) is not None:
+                        break
+                    if not swept:
+                        assert evaluated == [], (s, n_level, k_order)
+                        failed += 1
+                        first_passes += trees[0].bounds(n_level - 1, k_order)[1] < target
+        assert failed > 5 and first_passes > 0
+
+    def test_planned_level_passes_first(self, monkeypatch):
+        # the values pool's shapes: the first planned level passes
+        visited = _record_levels(monkeypatch)
+        for s, digits in [
+            ((Fraction(1, 4), mp.mpc(-1.5, 0.5)), 50),
+            ((Fraction(9, 4), Fraction(1, 2), mp.mpc(2.25, -1), Fraction(-3, 4)), 12),
+            ((mp.mpc(0.5, 30),), 30),
+        ]:
+            visited.clear()
+            mzv._strict_value(s, digits)
+            assert visited[0][-1] is not None, s
+
+
+class TestClosedFormValues:
+    # each value within 10^-digits of its closed form
+    @pytest.mark.parametrize("digits", [12, 30, 50])
+    def test_values_against_closed_forms(self, digits):
+        with mp.workdps(digits + 20):
+            cases = [((2,) * n, mp.pi ** (2 * n) / mp.factorial(2 * n + 1)) for n in range(1, 5)]
+            cases += [((3, 1), mp.pi**4 / 360), ((2, 1), mp.zeta(3))]
+            for x in (Fraction(-5, 2), Fraction(1, 2), 3, mp.mpc(0.5, 30), mp.mpc(-1.5, 2)):
+                cases.append(((x,), mp.zeta(to_mpc(x))))
+            for s, ref in cases:
+                assert abs(zeta_value(s, digits) - ref) < mp.mpf(10) ** -digits, s
 
 
 # -- reference: the level-by-level running sums -------------------------------
