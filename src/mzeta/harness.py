@@ -227,7 +227,7 @@ def _ray_limit_correction(prefix: tuple[int, ...], direction: Sequence[Fraction]
     """
     i = len(prefix)
     total = Fraction(0)
-    for ks, coeff in mzv.correction_terms(prefix, star=True):
+    for ks, coeff in mzv.correction_terms(prefix):
         eps_pow = 0
         int_part = 0
         slope = Fraction(0)

@@ -19,7 +19,9 @@ Analytic continuation splits the full sum by how many indices reach N:
     zeta(s) = zeta(s)_{<N} + sum_{j=1..r} zeta(s_1..s_j)_{>N-1} * zeta(s_{j+1}..s_r)_{<N},
 
 so only truncations and strict tails are ever needed, and no cancellation
-between continued values occurs away from the polar set.
+between continued values occurs away from the polar set.  The
+regularisation corrections of :func:`reg_via_tails` are shells of the
+reversed-prefix tails.
 """
 
 from __future__ import annotations
@@ -72,15 +74,10 @@ def _is_polar_integer(i: int, c) -> bool:
     return c == 1 if i == 1 else c <= i
 
 
-def _pole_gap(x, c, refusal=None):
-    """x - c; but within POLE_TOL of the pole c, None, or a PoleProximityError
-    with the message ``refusal()`` when that is given."""
+def _pole_gap(x, c):
+    """x - c; but None within POLE_TOL of the pole c."""
     gap = x - c
-    if abs(gap) < POLE_TOL:
-        if refusal:
-            raise PoleProximityError(refusal())
-        return None
-    return gap
+    return None if abs(gap) < POLE_TOL else gap
 
 
 def polar_description(s: Sequence) -> str | None:
@@ -196,7 +193,9 @@ class _TailShells:
     leaves are made and added in the order of the flat sum over tuples,
     factor by factor, with the calls that ``run * coeff * power`` makes, so
     the shells come out bit-for-bit as if every tuple were multiplied out on
-    its own.
+    its own.  A term whose chain meets a reciprocal factor within the pole
+    tolerance is not a leaf: the shell keeps the node of the first such
+    factor of its first such term as its pole.
     """
 
     def __init__(self, s: Sequence, variant: str) -> None:
@@ -206,15 +205,10 @@ class _TailShells:
         self.total_s = mp.fsum(x.real for x in self.ss) + 1j * mp.fsum(x.imag for x in self.ss)
         self.leaves: list[list] = []  # leaves[m]: shell m's raw mpc leaves, in flat order
         self.norms: list = []  # norms[m]: (sum of |leaf| over shell m, the precision it was built at)
+        self.poles: list[_TailNode | None] = []  # poles[m]: shell m's pole, or None
         self.root = _TailNode(mpc_one, Fraction(1), mpc_zero, 0, 0, self.ss) if s else None
         # per shell at the last N: its value or size from the terms, (low, high) from the norm
         self._at_key, self._at, self._bounds_at = None, {}, {}
-
-    def truncate(self, n_from: int, k_order: int) -> tuple[mpmath.mpc, mpmath.mpf]:
-        """Shells |k| <= k_order summed at N = n_from, and the
-        first-omitted-shell estimate."""
-        estimate = self.estimate(n_from, k_order)
-        return self.value(n_from, k_order), estimate
 
     def value(self, n_from: int, k_order: int) -> mpmath.mpc:
         """Shells |k| <= k_order summed at N = n_from, once they are built."""
@@ -275,9 +269,12 @@ class _TailShells:
         return estimate, None
 
     def grow(self, top: int) -> None:
-        """Build the shells up to |k| = top that are not built yet."""
+        """Build the shells up to |k| = top that are not built yet; a
+        PoleProximityError for the first of them with a pole."""
         while len(self.leaves) <= top:
             self._add_shell()
+        for pole in filter(None, self.poles[: top + 1]):
+            raise PoleProximityError(pole.refusal())
 
     def _bound(self, n_from: int, m: int) -> tuple[mpmath.mpf, mpmath.mpf]:
         """Low and high bounds of shell m's size at N = n_from: its norm times
@@ -322,29 +319,33 @@ class _TailShells:
 
     def _add_shell(self) -> None:
         m = len(self.leaves)
-        leaves: list = []
-        self._visit(self.root, m, bernoulli_ratios(m, self.star), leaves)
+        leaves, poles = [], []
+        self._visit(self.root, m, bernoulli_ratios(m, self.star), leaves, poles)
         prec, rnd = mp._prec_rounding
         norm = fzero
         for leaf in leaves:
             norm = mpf_add(norm, mpc_abs(leaf, prec, rnd), prec, rnd)
         self.leaves.append(leaves)
         self.norms.append((mp.make_mpf(norm), prec))
+        self.poles.append(poles[0] if poles else None)
 
-    def _visit(self, node: _TailNode, rest: int, ratios: tuple, leaves: list) -> None:
+    def _visit(self, node: _TailNode, rest: int, ratios: tuple, leaves: list, poles: list) -> None:
         """Advance ``node`` to k_(j+1) = rest and append the leaves of its
-        subtree in this shell, in lexicographic order of the k-tuples."""
+        subtree in this shell, in lexicographic order of the k-tuples, or to
+        ``poles`` the node of a term's first singular factor instead."""
         ratio = ratios[rest]
         run = node.advance(rest)
         if node.depth == len(self.ss) - 1:
-            if ratio:
+            if ratio and isinstance(run, _TailNode):
+                poles.append(run)
+            elif ratio:
                 coeff = to_mpf(node.coeff * ratio)._mpf_
                 leaves.append(mpc_mul_mpf(run, coeff, *mp._prec_rounding))
             return
         node.children.append(node.child(run, ratio, rest, self.ss) if ratio else None)
         for k, child in enumerate(node.children):
             if child is not None:
-                self._visit(child, rest - k, ratios, leaves)
+                self._visit(child, rest - k, ratios, leaves, poles)
 
 
 class _TailNode:
@@ -371,10 +372,14 @@ class _TailNode:
         return _TailNode(chain, self.coeff * ratio, self.pref_s, self.pref_k + k, depth, ss)
 
     def advance(self, k: int):
-        """Chain product times (x)_(k-1), for k one above the last call's."""
+        """Chain product times (x)_(k-1), for k one above the last call's;
+        the node of the first reciprocal factor within the pole tolerance
+        instead, where the chain meets one."""
+        if isinstance(self.chain, _TailNode):
+            return self.chain
         if k == 0:
-            gap = _pole_gap(mp.make_mpc(self.x), 1, self._refusal)
-            return (mp.make_mpc(self.chain) / gap)._mpc_
+            gap = _pole_gap(mp.make_mpc(self.x), 1)
+            return self if gap is None else (mp.make_mpc(self.chain) / gap)._mpc_
         if k == 1:
             self.run = self.chain
         else:
@@ -383,7 +388,7 @@ class _TailNode:
             self.run = mpc_mul(self.run, factor, prec, rnd)
         return self.run
 
-    def _refusal(self) -> str:
+    def refusal(self) -> str:
         j = self.depth + 1
         shift = f"+{self.pref_k}-{j}" if self.pref_k else f"-{j}"
         return f"reciprocal factor 1/({_factor_name(j)}{shift}) is singular"
@@ -398,7 +403,9 @@ def zeta_tail(
     Sums the expansion over multi-indices |k| <= k_order; the returned
     estimate is the absolute-sum of the first omitted shell.
     """
-    return _TailShells(s, variant).truncate(n_from, k_order)
+    shells = _TailShells(s, variant)
+    estimate = shells.estimate(n_from, k_order)
+    return shells.value(n_from, k_order), estimate
 
 
 def _tail_auto(
@@ -791,10 +798,10 @@ def correction_tuples(prefix: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(k - 1 for k in ks)
 
 
-def correction_terms(prefix: Sequence[int], star: bool) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+def correction_terms(prefix: Sequence[int]) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """The correction tuples of ``prefix`` with their coefficients
-    prod_j B_{k_j+1}/(k_j+1)! (B* when ``star``), where that is nonzero."""
-    ratios = bernoulli_ratios(max(0, len(prefix) - sum(prefix)), star)
+    prod_j B*_{k_j+1}/(k_j+1)!, where that is nonzero."""
+    ratios = bernoulli_ratios(max(0, len(prefix) - sum(prefix)), True)
     for ks in correction_tuples(prefix):
         coeff = prod((ratios[k + 1] for k in ks), start=Fraction(1))
         if coeff:
@@ -812,30 +819,21 @@ def reg_correction_term(
             * (s_i)_{k_i} (s_i+s_{i-1}+k_i)_{k_{i-1}} ...
 
     with star Bernoulli numbers for the plain variant and plain Bernoulli
-    numbers for the star variant.
+    numbers for the star variant: the N-free shell i - sum(a) of the tail
+    expansion of (s_i..s_1), with the other variant's Bernoulli numbers.
     """
-    i = len(point)
-    ss = [to_mpc(x) for x in s]
-    total = mp.mpc(0)
-    for ks, coeff in correction_terms(point, star=not star):
-        chain = mp.mpc(1)
-        pref_s = mp.mpc(0)
-        pref_k = 0
-        # factors run from j = i down to 1
-        for j in range(i, 0, -1):
-            pref_s += ss[j - 1]
-            x = pref_s + pref_k
-            k = ks[j - 1]
-            if k == -1:
-                chain /= _pole_gap(
-                    x, 1, lambda: f"regularised correction factor at prefix depth {j} is singular"
-                )
-            else:
-                for t in range(k):
-                    chain *= x + t
-            pref_k += k
-        total += to_mpf(coeff) * chain
-    return total
+    i, m = len(point), len(point) - sum(point)
+    if m < 0:
+        return mp.mpc(0)
+    if i == 0:
+        return mp.mpc(1)
+    shells = _TailShells(s[::-1], "strict" if star else "star")
+    while len(shells.leaves) <= m:  # not grow: a pole of a lower shell is no term of this one
+        shells._add_shell()
+    pole = shells.poles[m]
+    if pole is not None:  # its node at depth d of the reversed prefix is prefix depth i - d
+        raise PoleProximityError(f"regularised correction factor at prefix depth {i - pole.depth} is singular")
+    return sum(map(mp.make_mpc, shells.leaves[m]), mp.mpc(0))
 
 
 def reg_via_tails(

@@ -119,7 +119,7 @@ def asymptotic_expansion(
         series = sum_sequence(v, precision)
         if star:
             # sum over n <= N adds the N-th term itself to the strict sum
-            series = series + v.truncated(precision)
+            series = series + v.truncated(series.precision)
         if series.precision >= 0:
             series = series.with_constant_cell(
                 Coeff.atom(gamma_atom(point, order, star))

@@ -1,20 +1,20 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from mpmath import mp
 
 from mzeta import mzv, stieltjes
-from mzeta.config import to_mpc
+from mzeta.config import to_mpc, to_mpf
 from mzeta.errors import (
     PolarPointError,
     PoleProximityError,
     PrecisionUnreachableError,
     TailNotConvergingError,
 )
-from mzeta.exact import bernoulli, rising
+from mzeta.exact import bernoulli, bernoulli_ratios, rising
 from mzeta.mzv import (
     K_CAP,
     POLE_TOL,
@@ -608,8 +608,10 @@ class TestValueLadderOracle:
     def test_second_pass_matches_the_rebuilding_ladder(self, s, digits, variant, monkeypatch):
         # replay every level that the value's strict values visit, at the
         # caller's precision, on the ladder alone and on the planned levels;
-        # on the ladder one of them takes the cancellation guard's second
-        # pass (the planned level's smaller N can spare it)
+        # one of them takes the cancellation guard's second pass, on the
+        # ladder always and under the plan but at (1/4, -5/2), whose planned
+        # level's smaller N spares it
+        spared = (s, digits) == ((Fraction(1, 4), Fraction(-5, 2)), 30)
         for ladder_only in (True, False):
             if ladder_only:
                 monkeypatch.setattr(mzv, "_planned_levels", lambda *args: [])
@@ -617,8 +619,8 @@ class TestValueLadderOracle:
             zeta_value_with_error.cache.clear()
             zeta_value_with_error(s, digits, variant)
             monkeypatch.undo()
-            if ladder_only:
-                assert any(record[3] == mp.inf for record in visited)
+            second_pass = any(record[3] == mp.inf for record in visited)
+            assert second_pass == (ladder_only or not spared)
             _assert_levels_replay(visited)
 
     def test_pole_proximity_fires_at_the_same_level(self, monkeypatch):
@@ -1033,6 +1035,109 @@ def test_polar_description_matches_the_two_branch_test():
 def test_correction_pole_message():
     with pytest.raises(PoleProximityError, match=r"^regularised correction factor at prefix depth 1 is singular$"):
         mzv.reg_correction_term((1,), (1 + mp.mpf(10) ** -14,))
+
+
+# -- reference: the per-tuple correction loop ----------------------------------
+#
+# reg_correction_term once multiplied out the Pochhammer chain of every
+# correction tuple on its own.  It now sums one shell of the tail expansion of
+# the reversed prefix, which multiplies the same factors along a prefix tree
+# and adds the terms in another order: bit-identical at depth <= 1, within a
+# few roundings of the terms' sizes deeper, and refusing the same poles.
+
+
+def _flat_correction(point, s, star=False):
+    """The correction and the sum of its terms' sizes, tuple by tuple."""
+    i = len(point)
+    ss = [to_mpc(x) for x in s]
+    ratios = bernoulli_ratios(max(0, i - sum(point)), not star)
+    total, size = mp.mpc(0), mp.zero
+    for ks in mzv.correction_tuples(point):
+        coeff = prod((ratios[k + 1] for k in ks), start=Fraction(1))
+        if not coeff:
+            continue
+        chain = mp.mpc(1)
+        pref_s = mp.mpc(0)
+        pref_k = 0
+        # factors run from j = i down to 1
+        for j in range(i, 0, -1):
+            pref_s += ss[j - 1]
+            x = pref_s + pref_k
+            k = ks[j - 1]
+            if k == -1:
+                if abs(x - 1) < POLE_TOL:
+                    raise PoleProximityError(f"regularised correction factor at prefix depth {j} is singular")
+                chain /= x - 1
+            else:
+                for t in range(k):
+                    chain *= x + t
+            pref_k += k
+        term = to_mpf(coeff) * chain
+        total += term
+        size += abs(term)
+    return total, size
+
+
+def _correction_cases(rng, count):
+    """Seeded (point, s, star, dps): s near the point, real or complex."""
+    cases = [((), (), False, 20), ((), (), True, 40), ((3, 2), (Fraction(31, 10), 2.05), False, 20)]
+    # s2 = 1 puts a pole in shells 0..2 of (s2, s1) but in no term of shell 3
+    cases += [((-2, 1), (Fraction(-21, 10), 1), star, 20) for star in (False, True)]
+    while len(cases) < count:
+        depth = rng.randint(1, 4)
+        point = tuple(rng.randint(-3, 3) for _ in range(depth))
+        s = []
+        for a in point:
+            offset = Fraction(rng.randint(-40, 40), rng.choice((100, 1000)))
+            x = a + offset
+            if rng.random() < 0.3:
+                x = mp.mpc(float(x), rng.uniform(-0.5, 0.5))
+            s.append(x)
+        cases.append((point, tuple(s), rng.random() < 0.5, rng.choice((20, 40, 60))))
+    return cases
+
+
+def test_correction_matches_the_per_tuple_loop():
+    rng = random.Random(20190213)
+    seen, poles = set(), 0
+    for point, s, star, dps in _correction_cases(rng, 160):
+        with mp.workdps(dps):
+            try:
+                expect, size = _flat_correction(point, s, star)
+            except PoleProximityError:
+                with pytest.raises(PoleProximityError):
+                    mzv.reg_correction_term(point, s, star)
+                poles += 1
+                continue
+            got = mzv.reg_correction_term(point, s, star)
+            if len(point) <= 1:
+                assert got._mpc_ == expect._mpc_, (point, s, star, dps)
+            else:
+                assert abs(got - expect) <= mp.ldexp(size, 20 - mp.prec), (point, s, star, dps)
+        seen.add((len(point), len(point) - sum(point) < 0, star, any(isinstance(x, mp.mpc) for x in s)))
+    # the empty prefix, a prefix past its last shell, both variants, complex s
+    assert {(0, False, False, False), (0, False, True, False), (2, True, False, False)} <= seen
+    assert {(d, False, star, True) for d in (1, 4) for star in (False, True)} <= seen
+    assert poles
+
+
+@pytest.mark.parametrize(
+    "point, s",
+    [
+        ((1,), (1 + mp.mpf(10) ** -14,)),
+        ((0, 2), (Fraction(3, 10), 1 + mp.mpf(10) ** -14)),
+        ((1, 1), (Fraction(1, 2), Fraction(3, 2) + mp.mpf(10) ** -14)),
+        ((1, 0, 1), (Fraction(5, 2), mp.mpc(0.75, -0.5) + mp.mpf(10) ** -14, mp.mpc(0.25, 0.5))),
+    ],
+)
+@pytest.mark.parametrize("star", [False, True])
+def test_correction_refuses_the_poles_of_the_per_tuple_loop(point, s, star):
+    with mp.workdps(30):
+        with pytest.raises(PoleProximityError) as old:
+            _flat_correction(point, s, star)
+        with pytest.raises(PoleProximityError) as new:
+            mzv.reg_correction_term(point, s, star)
+    assert str(new.value) == str(old.value)
 
 
 def test_depth_above_the_cap_is_refused():
