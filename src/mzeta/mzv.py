@@ -12,7 +12,9 @@ expansions: for the strict tail over n1 > ... > nr > N,
 with (x)_{-1} = 1/(x-1) and star Bernoulli numbers B*_k = (-1)^k B_k for the
 weak tail over n1 >= ... >= nr >= N.  Vanishing odd Bernoulli numbers remove
 exactly the factors that would otherwise put spurious poles off the true
-polar set.
+polar set.  The j-th factor depends on k only through k_j and the prefix sum
+k1+..+k_{j-1}, so the shells |k| = m come from a recursion over (depth,
+prefix sum) rather than from the k-tuples one by one.
 
 Analytic continuation splits the full sum by how many indices reach N:
 
@@ -28,14 +30,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import pairwise, product
+from itertools import accumulate, pairwise, product
 from math import prod
 from typing import Iterator, Sequence
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_mul
-from mpmath.libmp import mpc_mul_mpf, mpc_one, mpc_pow, mpc_sub_mpf, mpc_zero, mpf_add, mpf_log
+from mpmath.libmp import fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_mul
+from mpmath.libmp import mpc_mul_mpf, mpc_one, mpc_pow, mpc_zero, mpf_add, mpf_log
 from mpmath.libmp import mpf_mul, mpf_pow_int
 
 from .config import MIN_MAX_N, check_depth, max_n, memo, to_mpc, to_mpf
@@ -180,22 +182,26 @@ def zeta_truncated(s: Sequence, n_top: int, variant: str = "strict") -> mpmath.m
 class _TailShells:
     """Shells of the tail expansion of s, free of N, built one |k| at a time.
 
-    Shell m sums the expansion terms over the k-tuples with |k| = m.  Each
-    term is a leaf, the chain product times prod B_k/k!, times the one factor
-    N^(r-|s|-m) that depends on N.  A shell is built once, when first needed,
-    and keeps its leaves and its norm, the sum of their sizes, so neither
-    growing K nor moving N rebuilds it.  Its size at N, the sum of its terms'
-    sizes, is then the norm times |N^(r-|s|-m)| up to roundings; evaluating
-    the shell itself multiplies each leaf by that power and adds them up.
-    Each prefix (k_1..k_j) of a tuple is a node of a prefix tree holding its
-    chain product, its coefficient prod B_k/k! and the running product of its
-    next Pochhammer factor, which each new shell advances by one step.  The
-    leaves are made and added in the order of the flat sum over tuples,
-    factor by factor, with the calls that ``run * coeff * power`` makes, so
-    the shells come out bit-for-bit as if every tuple were multiplied out on
-    its own.  A term whose chain meets a reciprocal factor within the pole
-    tolerance is not a leaf: the shell keeps the node of the first such
-    factor of its first such term as its pole.
+    Shell m sums the expansion terms over the k-tuples with |k| = m, less
+    the one factor N^(r-|s|-m) that depends on N.  A tuple's next factor,
+    B_k/k! (x)_(k-1) with x = x_j(p) = s_1+..+s_j + p - (j-1), depends only
+    on the state (j, p) of the depth j and the prefix sum
+    p = k_1+..+k_(j-1), so the shells come from one recursion,
+
+        W_j(p') = sum_(p <= p')  W_(j-1)(p) B_(p'-p)/(p'-p)! (x_j(p))_(p'-p-1),
+
+    from W_0 = 1 at p = 0: shell m is W_r(m).  The same recursion on the
+    factors' sizes gives its norm A_r(m), the sum of its terms' sizes, so
+    shell m at N is W_r(m) N^(r-|s|-m) and its size is A_r(m) |N^(r-|s|-m)|.
+    Each state keeps its running Pochhammer product as a raw libmp number,
+    and each new shell advances it by one factor: building shell m costs
+    about r (m+1) products.  A shell is built once, when first needed, so
+    neither growing K nor moving N rebuilds it.
+
+    A term whose chain meets a reciprocal factor 1/(x_j(p)-1) within the pole
+    tolerance is left out of the sums.  Each state remembers the first such
+    factor met by a path into it, in lexicographic order of the k-tuples, and
+    shell m keeps that of the paths into W_r(m) as its pole.
     """
 
     def __init__(self, s: Sequence, variant: str) -> None:
@@ -203,195 +209,124 @@ class _TailShells:
         self.star = variant == "star"
         self.ss = [to_mpc(x) for x in s]
         self.total_s = mp.fsum(x.real for x in self.ss) + 1j * mp.fsum(x.imag for x in self.ss)
-        self.leaves: list[list] = []  # leaves[m]: shell m's raw mpc leaves, in flat order
-        self.norms: list = []  # norms[m]: (sum of |leaf| over shell m, the precision it was built at)
-        self.poles: list[_TailNode | None] = []  # poles[m]: shell m's pole, or None
-        self.root = _TailNode(mpc_one, Fraction(1), mpc_zero, 0, 0, self.ss) if s else None
-        # per shell at the last N: its value or size from the terms, (low, high) from the norm
-        self._at_key, self._at, self._bounds_at = None, {}, {}
+        prec, rnd = mp._prec_rounding
+        self._heads = list(accumulate((x._mpc_ for x in self.ss), lambda a, b: mpc_add(a, b, prec, rnd)))
+        self._states: list[list] = [[] for _ in self.ss]  # [j-1][p]: [x_j(p), its running product]
+        # [j][p]: over the paths (k_1..k_j) of sum p, W_j(p), A_j(p), the first
+        # path and the first path with a pole, each as (k-tuple, (j, p) of its
+        # first pole or None)
+        self._paths: list[list[tuple]] = [[(mpc_one, fone, ((), None), None)]] + [[] for _ in self.ss]
+        self._ratios: list = []  # [k]: B_k/k! as a raw mpf, None where it vanishes
+        self.shells: list[tuple] = []  # [m]: raw W_r(m), A_r(m) as an mpf, and the (j, p) of its pole
+        self._sizes: dict = {}  # (N, precision, m): shell m's size at N
 
     def value(self, n_from: int, k_order: int) -> mpmath.mpc:
         """Shells |k| <= k_order summed at N = n_from, once they are built."""
-        if self.root is None:
-            return mp.mpc(1)
         value = mp.mpc(0)
         for m in range(k_order + 1):
             value += self._shell_at(n_from, m)
         return value
 
-    def estimate(self, n_from: int, k_order: int, target=mp.inf) -> mpmath.mpf:
-        """The first-omitted-shell estimate at N = n_from, from the terms'
-        sizes; a TailNotConvergingError when the shells grow there.  Where
-        the norms settle that the estimate is not below ``target``, a lower
-        bound of it, and no leaf is evaluated."""
-        low, _ = self.bounds(n_from, k_order)
-        if low >= target:
-            return low
-        if self.root is None:
-            return mp.zero
-        return max(self._shell_at(n_from, m, size=True) for m in (k_order + 1, k_order + 2))
-
-    def bounds(self, n_from: int, k_order: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-        """Low and high bounds of the estimate at N = n_from from the norms;
-        a TailNotConvergingError when the shells grow there, judged from the
-        norms where they settle it and from the terms where they do not."""
+    def estimate(self, n_from: int, k_order: int) -> mpmath.mpf:
+        """The first-omitted-shell estimate at N = n_from, the larger size of
+        shells K+1 and K+2; a TailNotConvergingError when the shells grow."""
         if n_from < 2:
             raise ValueError("tail expansions require N >= 2")
-        if self.root is None:
-            return mp.zero, mp.zero
         self.grow(k_order + 2)
-        estimate, growing = self._verdict(self._bound, n_from, k_order)
-        if growing is None:
-            growing = self._verdict(self._size, n_from, k_order)[1]
-        if growing:
-            raise TailNotConvergingError(f"tail shells are growing at N={n_from}, K={k_order}")
-        return estimate
 
-    @staticmethod
-    def _verdict(size, n_from: int, k_order: int) -> tuple[tuple, bool | None]:
-        """The estimate's (low, high) and whether the shells grow at order K
-        (True, False, or None when the sizes' bounds leave it open), from
-        ``size(n_from, m)``, a (low, high) pair for shell m."""
-
-        def larger(m: int) -> tuple:  # (low, high) of the larger of shells m, m+1
-            (low, high), (low_next, high_next) = size(n_from, m), size(n_from, m + 1)
-            return max(low, low_next), max(high, high_next)
+        def larger(m: int) -> mpmath.mpf:
+            return max(self._size_at(n_from, m), self._size_at(n_from, m + 1))
 
         estimate = larger(k_order + 1)
-        if k_order < 4:
-            return estimate, False
-        last, older = larger(k_order - 1), larger(k_order - 3)
-        # "estimate > last > older", settled when the bounds do not overlap
-        if estimate[0] > last[1] and last[0] > older[1]:
-            return estimate, True
-        if estimate[1] <= last[0] or last[1] <= older[0]:
-            return estimate, False
-        return estimate, None
+        if k_order >= 4 and estimate > larger(k_order - 1) > larger(k_order - 3):
+            raise TailNotConvergingError(f"tail shells are growing at N={n_from}, K={k_order}")
+        return estimate
 
     def grow(self, top: int) -> None:
         """Build the shells up to |k| = top that are not built yet; a
         PoleProximityError for the first of them with a pole."""
-        while len(self.leaves) <= top:
+        while len(self.shells) <= top:
             self._add_shell()
-        for pole in filter(None, self.poles[: top + 1]):
-            raise PoleProximityError(pole.refusal())
+        for _, _, pole in self.shells[: top + 1]:
+            if pole is not None:
+                j, p = pole
+                shift = f"+{p}-{j}" if p else f"-{j}"
+                raise PoleProximityError(f"reciprocal factor 1/({_factor_name(j)}{shift}) is singular")
 
-    def _bound(self, n_from: int, m: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-        """Low and high bounds of shell m's size at N = n_from: its norm times
-        |N^(r-|s|-m)|, widened by the roundings that separate the two sums."""
-        self._cache(n_from)
-        if m not in self._bounds_at:
-            norm, prec = self.norms[m]
-            low = high = mp.zero
-            if norm:
-                size = norm * mp.power(n_from, (len(self.ss) - self.total_s - m).real)
-                slack = (4 * len(self.leaves[m]) + 16) * mp.ldexp(1, -min(prec, mp.prec))
-                low, high = size * (1 - slack), size * (1 + slack)
-            self._bounds_at[m] = low, high
-        return self._bounds_at[m]
+    def shell(self, m: int) -> tuple[mpmath.mpc, tuple[int, int] | None]:
+        """N-free shell m and the (j, p) of its pole, or None; the poles of
+        the shells below it are not its own and are not refused."""
+        while len(self.shells) <= m:
+            self._add_shell()
+        value, _, pole = self.shells[m]
+        return mp.make_mpc(value), pole
 
-    def _size(self, n_from: int, m: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-        """Shell m's size at N = n_from, from its terms, as a (low, high) pair."""
-        size = self._shell_at(n_from, m, size=True)
-        return size, size
+    def _size_at(self, n_from: int, m: int) -> mpmath.mpf:
+        """Shell m's size at N = n_from: its norm times |N^(r-|s|-m)|."""
+        key = (n_from, mp.prec, m)
+        if key not in self._sizes:
+            self._sizes[key] = self.shells[m][1] * mp.power(n_from, (len(self.ss) - self.total_s - m).real)
+        return self._sizes[key]
 
-    def _cache(self, n_from: int) -> None:
-        key = (n_from, mp.prec)
-        if key != self._at_key:
-            self._at_key, self._at, self._bounds_at = key, {}, {}
-
-    def _shell_at(self, n_from: int, m: int, size: bool = False):
-        """Shell m at N = n_from, or with ``size`` the sum of its terms' sizes."""
-        self._cache(n_from)
-        if (m, size) not in self._at:
-            total = fzero if size else mpc_zero
-            if self.leaves[m]:
-                prec, rnd = mp._prec_rounding
-                power = mp.power(n_from, len(self.ss) - self.total_s - m)._mpc_
-                for leaf in self.leaves[m]:
-                    term = mpc_mul(leaf, power, prec, rnd)
-                    if size:
-                        total = mpf_add(total, mpc_abs(term, prec, rnd), prec, rnd)
-                    else:
-                        total = mpc_add(total, term, prec, rnd)
-            self._at[m, size] = mp.make_mpf(total) if size else mp.make_mpc(total)
-        return self._at[m, size]
+    def _shell_at(self, n_from: int, m: int) -> mpmath.mpc:
+        """Shell m at N = n_from: one product with its power of N."""
+        power = mp.power(n_from, len(self.ss) - self.total_s - m)._mpc_
+        return mp.make_mpc(mpc_mul(self.shells[m][0], power, *mp._prec_rounding))
 
     def _add_shell(self) -> None:
-        m = len(self.leaves)
-        leaves, poles = [], []
-        self._visit(self.root, m, bernoulli_ratios(m, self.star), leaves, poles)
+        """Build shell m: each depth's states (j, p <= m) advance their
+        products to k = m - p, and W_j(m), A_j(m) and the first paths into
+        them are summed over p, the state (j, m) entering at k = 0."""
+        m = len(self.shells)
         prec, rnd = mp._prec_rounding
-        norm = fzero
-        for leaf in leaves:
-            norm = mpf_add(norm, mpc_abs(leaf, prec, rnd), prec, rnd)
-        self.leaves.append(leaves)
-        self.norms.append((mp.make_mpf(norm), prec))
-        self.poles.append(poles[0] if poles else None)
+        ratio = bernoulli_ratios(m, self.star)[m]
+        self._ratios.append(to_mpf(ratio)._mpf_ if ratio else None)
+        if m:
+            self._paths[0].append((mpc_zero, fzero, None, None))
+        for j, states in enumerate(self._states, start=1):
+            into = self._paths[j - 1]
+            states.append(into[m][2] and self._state(j, m))  # None where no path reaches it
+            weight, norm, first, pole = mpc_zero, fzero, None, None
+            for p, state in enumerate(states):
+                if state is None:
+                    continue
+                k = m - p
+                x, run = state
+                if k == 1:
+                    run = state[1] = mpc_one
+                elif k > 1:
+                    run = state[1] = mpc_mul(run, mpc_add_mpf(x, from_int(k - 2), prec, rnd), prec, rnd)
+                ratio = self._ratios[k]
+                if ratio is None:
+                    continue
+                w_in, a_in, first_in, pole_in = into[p]
+                # a k = 0 step on a singular state meets its pole: (x)_(-1) is None there
+                path = (first_in[0] + (k,), first_in[1] or (None if run is not None else (j, p)))
+                first = _earlier(first, path)
+                pole = _earlier(pole, pole_in and (pole_in[0] + (k,), pole_in[1]))
+                if path[1] is not None:
+                    pole = _earlier(pole, path)
+                if run is not None:
+                    factor = mpc_mul_mpf(run, ratio, prec, rnd)
+                    weight = mpc_add(weight, mpc_mul(w_in, factor, prec, rnd), prec, rnd)
+                    norm = mpf_add(norm, mpf_mul(a_in, mpc_abs(factor, prec, rnd), prec, rnd), prec, rnd)
+            self._paths[j].append((weight, norm, first, pole))
+        weight, norm, _, pole = self._paths[-1][m]
+        self.shells.append((weight, mp.make_mpf(norm), pole and pole[1]))
 
-    def _visit(self, node: _TailNode, rest: int, ratios: tuple, leaves: list, poles: list) -> None:
-        """Advance ``node`` to k_(j+1) = rest and append the leaves of its
-        subtree in this shell, in lexicographic order of the k-tuples, or to
-        ``poles`` the node of a term's first singular factor instead."""
-        ratio = ratios[rest]
-        run = node.advance(rest)
-        if node.depth == len(self.ss) - 1:
-            if ratio and isinstance(run, _TailNode):
-                poles.append(run)
-            elif ratio:
-                coeff = to_mpf(node.coeff * ratio)._mpf_
-                leaves.append(mpc_mul_mpf(run, coeff, *mp._prec_rounding))
-            return
-        node.children.append(node.child(run, ratio, rest, self.ss) if ratio else None)
-        for k, child in enumerate(node.children):
-            if child is not None:
-                self._visit(child, rest - k, ratios, leaves, poles)
-
-
-class _TailNode:
-    """A prefix (k_1..k_j) of the tail's k-tuples with nonzero coefficient.
-
-    Its numbers are raw mpc tuples, combined by the libmp calls that mpc
-    arithmetic makes at the ambient precision.
-    """
-
-    __slots__ = ("chain", "coeff", "pref_s", "pref_k", "depth", "x", "run", "children")
-
-    def __init__(self, chain, coeff: Fraction, pref_s, pref_k: int, depth: int, ss: list) -> None:
+    def _state(self, j: int, p: int) -> list:
+        """State (j, p) at k = 0: x_j(p) and (x_j(p))_(-1) = 1/(x_j(p)-1),
+        None within the pole tolerance."""
         prec, rnd = mp._prec_rounding
-        self.chain, self.coeff, self.pref_k, self.depth = chain, coeff, pref_k, depth
-        self.pref_s = mpc_add(pref_s, ss[depth]._mpc_, prec, rnd)
-        # the next factor is (x)_(k-1), with (x)_(-1) = 1/(x-1)
-        x = mpc_add_mpf(self.pref_s, from_int(pref_k), prec, rnd)
-        self.x = mpc_sub_mpf(x, from_int(depth), prec, rnd)
-        self.run = None
-        self.children: list[_TailNode | None] = []
+        x = mpc_add_mpf(self._heads[j - 1], from_int(p - j + 1), prec, rnd)
+        gap = _pole_gap(mp.make_mpc(x), 1)
+        return [x, None if gap is None else mpc_div(mpc_one, gap._mpc_, prec, rnd)]
 
-    def child(self, chain, ratio: Fraction, k: int, ss: list) -> _TailNode:
-        depth = self.depth + 1
-        return _TailNode(chain, self.coeff * ratio, self.pref_s, self.pref_k + k, depth, ss)
 
-    def advance(self, k: int):
-        """Chain product times (x)_(k-1), for k one above the last call's;
-        the node of the first reciprocal factor within the pole tolerance
-        instead, where the chain meets one."""
-        if isinstance(self.chain, _TailNode):
-            return self.chain
-        if k == 0:
-            gap = _pole_gap(mp.make_mpc(self.x), 1)
-            return self if gap is None else (mp.make_mpc(self.chain) / gap)._mpc_
-        if k == 1:
-            self.run = self.chain
-        else:
-            prec, rnd = mp._prec_rounding
-            factor = mpc_add_mpf(self.x, from_int(k - 2), prec, rnd)
-            self.run = mpc_mul(self.run, factor, prec, rnd)
-        return self.run
-
-    def refusal(self) -> str:
-        j = self.depth + 1
-        shift = f"+{self.pref_k}-{j}" if self.pref_k else f"-{j}"
-        return f"reciprocal factor 1/({_factor_name(j)}{shift}) is singular"
+def _earlier(a, b):
+    """Of two (k-tuple, pole) paths, either of them None, the one whose tuple
+    comes first."""
+    return b if a is None or (b is not None and b[0] < a[0]) else a
 
 
 def zeta_tail(
@@ -416,7 +351,7 @@ def _tail_auto(
     shells = _TailShells(s, variant)
     best = mp.inf
     for k_order in range(4, K_CAP + 1, 2):
-        est = shells.estimate(n_from, k_order, target)
+        est = shells.estimate(n_from, k_order)
         if est < target:
             return shells.value(n_from, k_order), est
         best = min(best, est)
@@ -491,21 +426,21 @@ def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
     cap = max_n()
     dps = working_dps(digits)
     with mp.workdps(dps):
-        trees = _prefix_trees(s)
-        planned = _planned_levels(s, trees, target, cap)
+        tails = _prefix_tails(s)
+        planned = _planned_levels(s, tails, target, cap)
         if planned is None:  # a pole among the shells: the ladder meets it where it always did
-            trees, planned = _prefix_trees(s), []
+            tails, planned = _prefix_tails(s), []
         for n_level, k_order in planned + [lv for lv in _ladder(cap) if lv not in planned]:
-            level = _strict_level(s, trees, n_level, k_order, target)
+            level = _strict_level(s, tails, n_level, k_order, target)
             if level is not None:
                 total, err, scale = level
                 # the addends can dwarf the value: redo this level with the
                 # digits their cancellation costs, keeping the tail estimate
                 lost = scale * mp.mpf(10) ** -dps / target
                 if lost > 1:
-                    trees = None  # free these leaves before the finer ones are built
+                    tails = None  # free these shells before the finer ones are built
                     with mp.workdps(dps + int(mpmath.ceil(mpmath.log10(lost)))):
-                        total = _strict_level(s, _prefix_trees(s), n_level, k_order, mp.inf)[0]
+                        total = _strict_level(s, _prefix_tails(s), n_level, k_order, mp.inf)[0]
                 return +total, err
         bounded = _integral_test_value(s, target)
         if bounded is not None:
@@ -527,20 +462,20 @@ def _ladder(cap: int) -> Iterator[tuple[int, int]]:
         n_level, k_order = min(n_level * 2, cap), min(k_order + 2, K_CAP)
 
 
-def _prefix_trees(s: Sequence) -> list[_TailShells]:
+def _prefix_tails(s: Sequence) -> list[_TailShells]:
     """The strict tail shells of s[:1], .., s[:r], none built yet."""
     return [_TailShells(s[:j], "strict") for j in range(1, len(s) + 1)]
 
 
 # Seconds per operation, timed over the values of perfbench's values pool on
 # a 2-CPU Intel Xeon with mpmath's pure-Python backend (their ratios are what
-# matter): building one tail leaf with its size, evaluating one leaf at some
-# N, the power of N that each evaluated shell takes, and one sweep term (one
-# of the N (distinct exponents + 2r)).
-LEAF_BUILD_S, LEAF_EVAL_S, SHELL_EVAL_S, SWEEP_TERM_S = 35e-6, 14e-6, 40e-6, 10e-6
+# matter): one state's step in a shell build (shell m of prefix j takes
+# j (m+1) of them), the power of N that each evaluated shell takes, and one
+# sweep term (one of the N (distinct exponents + 2r)).
+SHELL_STEP_S, SHELL_EVAL_S, SWEEP_TERM_S = 8e-6, 40e-6, 10e-6
 
 
-def _planned_levels(s: Sequence, trees: list[_TailShells], target, cap: int):
+def _planned_levels(s: Sequence, tails: list[_TailShells], target, cap: int):
     """The levels (N, K) whose estimates the shell norms predict to pass,
     cheapest first; None when a shell meets a pole while they grow.
 
@@ -558,7 +493,7 @@ def _planned_levels(s: Sequence, trees: list[_TailShells], target, cap: int):
     log_target = float(mpmath.log(target))
     ns = sorted({n for n, _ in _ladder(cap)})
     sigmas = [float(to_mpc(x).real) for x in s]
-    heads = [float(tree.total_s.real) for tree in trees]
+    heads = [float(tail.total_s.real) for tail in tails]
     distinct = len({to_mpc(x)._mpc_ for x in s})
     # per N: ln(N-1), the sweep's cost and each prefix's ln suffix bound
     at = []
@@ -570,31 +505,27 @@ def _planned_levels(s: Sequence, trees: list[_TailShells], target, cap: int):
             for j in range(1, r + 1)
         ]
         at.append((n, math.log(n - 1), (n - 1) * (distinct + 2 * r) * SWEEP_TERM_S, bounds))
-    logs: list[list[float]] = [[] for _ in trees]  # ln(norm) of each built shell
-    counts: list[list[int]] = [[] for _ in trees]  # its number of leaves
+    logs: list[list[float]] = [[] for _ in tails]  # ln(norm) of each built shell
 
-    def shell(j: int, m: int) -> tuple[float, int]:
-        """ln(norm) and leaf count of prefix j's shell m; past the built
-        ones, geometric in m from the last two of the same parity."""
+    def log_norm(j: int, m: int) -> float:
+        """ln(norm) of prefix j's shell m; past the built ones, geometric
+        in m from the last two of the same parity."""
         top = len(logs[j]) - 1
         if m <= top:
-            return logs[j][m], counts[j][m]
+            return logs[j][m]
         t = top - (m - top) % 2
         a, b = logs[j][t], logs[j][t - 2]
-        return (a + (m - t) // 2 * (a - b) if b > -math.inf else a), counts[j][t]
+        return a + (m - t) // 2 * (a - b) if b > -math.inf else a
 
     def cheapest(k_order: int, best: float) -> tuple[float, int]:
         """The cheapest (cost, N) predicted to pass at order K and to cost
         less than ``best``: N = 0 when none is, -1 when no N costs less."""
         cost = r * (k_order + 3) * SHELL_EVAL_S
-        for j in range(r):
-            built = len(counts[j])
-            cost += sum(counts[j][: k_order + 3]) * LEAF_EVAL_S
-            for m in range(built, k_order + 3):
-                cost += shell(j, m)[1] * (LEAF_EVAL_S + LEAF_BUILD_S)
+        for j, built in enumerate(logs, start=1):  # shell m of prefix j: j (m+1) steps
+            cost += j * sum(range(len(built) + 1, k_order + 4)) * SHELL_STEP_S
         if cost + at[0][2] >= best:
             return math.inf, -1
-        window = [[shell(j, m)[0] for m in range(k_order - 3, k_order + 3)] for j in range(r)]
+        window = [[log_norm(j, m) for m in range(k_order - 3, k_order + 3)] for j in range(r)]
         for n, log_n, sweep, suffix_bounds in at:
             if cost + sweep >= best:
                 break
@@ -606,14 +537,13 @@ def _planned_levels(s: Sequence, trees: list[_TailShells], target, cap: int):
     candidates, best = [], math.inf
     for k_order in range(4, K_CAP + 1, 2):
         try:
-            for tree in trees:
-                tree.grow(k_order + 2)
+            for tail in tails:
+                tail.grow(k_order + 2)
         except PoleProximityError:
             return None
-        for tree, log_norms, sizes in zip(trees, logs, counts):
-            for norm, _ in tree.norms[len(log_norms) :]:
+        for tail, log_norms in zip(tails, logs):
+            for _, norm, _ in tail.shells[len(log_norms) :]:
                 log_norms.append(float(mpmath.log(norm)) if norm else -math.inf)
-                sizes.append(len(tree.leaves[len(sizes)]))
         cost, n_level = cheapest(k_order, best)
         if n_level > 0:
             candidates.append((cost, n_level, k_order))
@@ -661,37 +591,34 @@ def _log_power_sum(sigma: float, low: int, high: int) -> float:
     return top + math.log1p(math.exp(min(ends, area) - top))
 
 
-def _strict_level(s: Sequence, trees: list[_TailShells], n_level: int, k_order: int, target):
+def _strict_level(s: Sequence, tails: list[_TailShells], n_level: int, k_order: int, target):
     """Truncation below N plus the prefix tails at order K: the value, its
     error estimate and the sum of the addends' sizes; None when the error
     estimate is not below ``target``.  A level that the shell norms fail
-    evaluates no leaf."""
+    evaluates no shell and sweeps nothing."""
     n_from = n_level - 1
-    lows = []
+    ests = []
     try:
         # prefix by prefix: one whose shells grow stops the level before the
         # next prefix's shells are built
-        for tree in trees:
-            if tree is trees[-1] and any(low >= target for low in lows):
+        for tail in tails:
+            if tail is tails[-1] and any(est >= target for est in ests):
                 # the level fails whatever this tail's estimate: only build
                 # its shells, so that a pole among them stops the value here
-                tree.grow(k_order + 2)
+                tail.grow(k_order + 2)
                 return None
-            lows.append(tree.bounds(n_from, k_order)[0])
+            ests.append(tail.estimate(n_from, k_order))
     except TailNotConvergingError:
         return None
-    # each estimate alone bounds the error below: sum terms and sweep only
-    # when all may pass
-    if any(low >= target for low in lows):
-        return None
-    ests = [tree.estimate(n_from, k_order) for tree in trees]
+    # each estimate alone bounds the error below: sum shells and sweep only
+    # when all pass
     if any(est >= target for est in ests):
         return None
     # the whole truncation and every suffix's, from one sweep
     total, *suffixes = nested_sums(s, (n_level,))[1]
     err, scale = mp.zero, abs(total)
-    for tree, est, suffix in zip(trees, ests, suffixes):
-        term = tree.value(n_from, k_order) * suffix
+    for tail, est, suffix in zip(tails, ests, suffixes):
+        term = tail.value(n_from, k_order) * suffix
         total += term
         scale += abs(term)
         err += est * max(mp.one, abs(suffix))
@@ -827,13 +754,10 @@ def reg_correction_term(
         return mp.mpc(0)
     if i == 0:
         return mp.mpc(1)
-    shells = _TailShells(s[::-1], "strict" if star else "star")
-    while len(shells.leaves) <= m:  # not grow: a pole of a lower shell is no term of this one
-        shells._add_shell()
-    pole = shells.poles[m]
-    if pole is not None:  # its node at depth d of the reversed prefix is prefix depth i - d
-        raise PoleProximityError(f"regularised correction factor at prefix depth {i - pole.depth} is singular")
-    return sum(map(mp.make_mpc, shells.leaves[m]), mp.mpc(0))
+    value, pole = _TailShells(s[::-1], "strict" if star else "star").shell(m)
+    if pole is not None:  # its depth j in the reversed prefix is prefix depth i + 1 - j
+        raise PoleProximityError(f"regularised correction factor at prefix depth {i + 1 - pole[0]} is singular")
+    return value
 
 
 def reg_via_tails(

@@ -53,6 +53,16 @@ class TestStieltjesCommand:
         assert code == 0
         assert out.splitlines()[0] == "-0.655878071520"
 
+    def test_assembly_past_a_lower_shells_pole(self, capsys):
+        # the samples keep s2 = 1: shells 0..2 of the reversed prefix (s2, s1)
+        # have a pole, but no term of shell 3, the correction's own
+        code, out, _ = run_cli(
+            capsys, "stieltjes", "--point=-2,1", "--order=1,0", "--digits=12",
+            "--method=closed_form_assembly",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "-0.241564612146"
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "stieltjes", "--point", "0", "--order", "0", "--output", "json"

@@ -332,8 +332,10 @@ def test_polar_description_exact_vs_numeric():
 # -- reference: the flat enumeration of the tail expansion -------------------
 #
 # Every k-tuple with |k| <= K+2 is enumerated in lexicographic order and its
-# coefficient and chain product are rebuilt from scratch.  The shell builder
-# in mzv must return bit-identical values and raise the same exceptions.
+# coefficient and chain product are rebuilt from scratch.  The shell
+# recursion in mzv multiplies the same factors and adds the terms in another
+# order: it must agree within 2^(20-prec) of the terms' sizes and raise the
+# same exceptions.
 
 
 def _flat_k_tuples(depth, total_cap):
@@ -363,18 +365,16 @@ def _flat_chain_product(ss, ks):
     return out
 
 
-def _flat_zeta_tail(s, n_from, k_order, variant="strict"):
-    if n_from < 2:
-        raise ValueError("tail expansions require N >= 2")
+def _flat_shells(s, n_from, top, variant="strict"):
+    """Shells 0..top at N and the sums of their terms' sizes."""
     r = len(s)
-    if r == 0:
-        return mp.mpc(1), mp.zero
     star = variant == "star"
     ss = [to_mpc(x) for x in s]
     total_s = mp.fsum(x.real for x in ss) + 1j * mp.fsum(x.imag for x in ss)
-    shells = [mp.mpc(0)] * (k_order + 3)
-    shells_abs = [mp.zero] * (k_order + 3)
-    for ks in _flat_k_tuples(r, k_order + 2):
+    powers = [mp.power(n_from, r - total_s - m) for m in range(top + 1)]
+    shells = [mp.mpc(0)] * (top + 1)
+    shells_abs = [mp.zero] * (top + 1)
+    for ks in _flat_k_tuples(r, top):
         coeff = Fraction(1)
         skip = False
         for k in ks:
@@ -387,9 +387,19 @@ def _flat_zeta_tail(s, n_from, k_order, variant="strict"):
             continue
         term = _flat_chain_product(ss, ks)
         term *= mp.mpf(coeff.numerator) / coeff.denominator
-        term *= mp.power(n_from, r - total_s - sum(ks))
+        term *= powers[sum(ks)]
         shells[sum(ks)] += term
         shells_abs[sum(ks)] += abs(term)
+    return shells, shells_abs
+
+
+def _flat_zeta_tail(s, n_from, k_order, variant="strict"):
+    """Value, estimate and the value's norm, the sum of its terms' sizes."""
+    if n_from < 2:
+        raise ValueError("tail expansions require N >= 2")
+    if not s:
+        return mp.mpc(1), mp.zero, mp.one
+    shells, shells_abs = _flat_shells(s, n_from, k_order + 2, variant)
     estimate = max(shells_abs[k_order + 1], shells_abs[k_order + 2])
     if k_order >= 4:
         last = max(shells_abs[k_order - 1], shells_abs[k_order])
@@ -399,25 +409,35 @@ def _flat_zeta_tail(s, n_from, k_order, variant="strict"):
     value = mp.mpc(0)
     for sh in shells[: k_order + 1]:
         value += sh
-    return value, estimate
+    return value, estimate, mp.fsum(shells_abs[: k_order + 1])
 
 
 def _flat_tail_auto(s, n_from, digits, variant):
     target = mp.mpf(10) ** (-(digits + 2))
     for k_order in range(4, K_CAP + 1, 2):
-        value, est = _flat_zeta_tail(s, n_from, k_order, variant)
+        value, est, norm = _flat_zeta_tail(s, n_from, k_order, variant)
         if est < target:
-            return value, est
+            return value, est, norm
     raise TailNotConvergingError("tail stalls")
 
 
 def _outcome(fn, *args):
-    """(value bits, estimate bits) or the exception type."""
+    """The returned numbers or the exception type."""
     try:
-        value, est = fn(*args)
+        return fn(*args)
     except (PoleProximityError, TailNotConvergingError, ValueError) as exc:
         return type(exc)
-    return mp.mpc(value)._mpc_, mp.mpf(est)._mpf_
+
+
+def _assert_agrees(new, old, where):
+    """A tail's (value, estimate) against the flat (value, estimate, norm):
+    the same exception type, or both within 2^(20-prec) of their norms."""
+    if isinstance(new, type) or isinstance(old, type):
+        assert new == old, where
+        return
+    (value, est), (flat_value, flat_est, norm) = new, old
+    assert abs(value - flat_value) <= mp.ldexp(norm, 20 - mp.prec), where
+    assert abs(est - flat_est) <= mp.ldexp(flat_est, 20 - mp.prec), where
 
 
 def _random_point(rng, depth):
@@ -433,9 +453,10 @@ def _random_point(rng, depth):
 
 TAIL_GRID = [
     (depth, n_from, k_order, variant, dps)
-    for depth in (1, 2, 3)
+    for depth in (1, 2, 3, 4, 5, 6)
     for n_from in (2, 5, 10, 20)
-    for k_order in (0, 1, 4, 14, 30)
+    # the flat enumeration has C(K+2+depth, depth) tuples
+    for k_order in ((0, 1, 4, 14, 30) if depth <= 3 else (0, 1, 4, 8))
     for variant in ("strict", "star")
     for dps in (20, 30, 60)
 ]
@@ -444,7 +465,7 @@ TAIL_GRID = [
 class TestTailOracle:
     def test_zeta_tail_matches_flat_enumeration(self):
         rng = random.Random(20190212)
-        cases = rng.sample(TAIL_GRID, 90)
+        cases = rng.sample(TAIL_GRID, 120)
         # pole proximity at the first and at a later factor, and a tail that
         # cannot converge at N=2
         cases_s = [_random_point(rng, depth) for depth, *_ in cases]
@@ -455,9 +476,9 @@ class TestTailOracle:
             with mp.workdps(dps):
                 new = _outcome(zeta_tail, s, n_from, k_order, variant)
                 old = _outcome(_flat_zeta_tail, s, n_from, k_order, variant)
-            assert new == old, (s, n_from, k_order, variant, dps)
-            outcomes.add(new if isinstance(new, type) else tuple)
-        assert outcomes == {tuple, PoleProximityError, TailNotConvergingError}
+                _assert_agrees(new, old, (s, n_from, k_order, variant, dps))
+            outcomes.add(new if isinstance(new, type) else (tuple, depth > 3))
+        assert outcomes == {(tuple, False), (tuple, True), PoleProximityError, TailNotConvergingError}
 
     def test_tail_auto_matches_flat_enumeration(self):
         rng = random.Random(5)
@@ -475,7 +496,7 @@ class TestTailOracle:
             with mp.workdps(rng.choice((20, 30))):
                 new = _outcome(_tail_auto, s, n_from, 10, variant)
                 old = _outcome(_flat_tail_auto, s, n_from, 10, variant)
-            assert new == old, (s, n_from, variant)
+                _assert_agrees(new, old, (s, n_from, variant))
             outcomes.add(new if isinstance(new, type) else tuple)
         assert outcomes == {tuple, PoleProximityError, TailNotConvergingError}
 
@@ -484,7 +505,7 @@ class TestTailOracle:
         add_shell = mzv._TailShells._add_shell
 
         def counted(self):
-            built.append(len(self.leaves))
+            built.append(len(self.shells))
             add_shell(self)
 
         monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
@@ -503,6 +524,12 @@ class TestTailOracle:
             zeta_tail((1 + mp.mpf(10) ** -14, 2), 10, 4)
         with pytest.raises(PoleProximityError, match=r"1/\(s1\+s2\+2-2\) is singular"):
             zeta_tail((Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14), 10, 4)
+
+    def test_pole_is_the_first_in_tuple_order(self):
+        # shell 2, the first with a pole, meets 1/(s1+s2+2-2) on k = (2, 0, 0)
+        # and 1/(s1+..+s3+2-3) on (0, 2, 0), which comes first
+        with pytest.raises(PoleProximityError, match=r"1/\(s1\+\.\.\+s3\+2-3\) is singular"):
+            zeta_tail((Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14, 1), 10, 4)
 
 
 # -- reference: each visited level rebuilt from scratch ----------------------
@@ -541,11 +568,11 @@ def _record_levels(monkeypatch):
     visited = []
     strict_level = mzv._strict_level
 
-    def level(point, trees, n_level, k_order, target):
+    def level(point, tails, n_level, k_order, target):
         record = [tuple(point), n_level, k_order, target, mp.prec]
         visited.append(record)
         try:
-            out = strict_level(point, trees, n_level, k_order, target)
+            out = strict_level(point, tails, n_level, k_order, target)
         except PoleProximityError as exc:
             record.append((type(exc), str(exc)))
             raise
@@ -635,12 +662,12 @@ class TestValueLadderOracle:
             add_shell, strict_level = mzv._TailShells._add_shell, mzv._strict_level
 
             def counted(self):
-                built.setdefault(self, []).append(len(self.leaves))
+                built.setdefault(self, []).append(len(self.shells))
                 add_shell(self)
 
-            def level(s, trees, n_level, k_order, target):
+            def level(s, tails, n_level, k_order, target):
                 levels.append(k_order)
-                return strict_level(s, trees, n_level, k_order, target)
+                return strict_level(s, tails, n_level, k_order, target)
 
             monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
             monkeypatch.setattr(mzv, "_strict_level", level)
@@ -650,47 +677,44 @@ class TestValueLadderOracle:
             zeta_value_with_error(s, 30)
             monkeypatch.undo()
             if ladder_only:
-                # the second pass of the cancellation guard builds its own trees
-                assert len(levels) > 2 and sorted(len(tree.ss) for tree in built) == [1, 1, 2, 2, 3, 3]
-            for tree, shells in built.items():
+                # the second pass of the cancellation guard builds its own tails
+                assert len(levels) > 2 and sorted(len(tail.ss) for tail in built) == [1, 1, 2, 2, 3, 3]
+            for tail, shells in built.items():
                 assert shells == list(range(len(shells)))
-                if len(tree.ss) == 3:
+                if len(tail.ss) == 3:
                     assert len(shells) == max(levels) + 3
 
 
 class TestShellNorms:
     def test_closed_form_size_matches_the_terms(self):
         # a shell's size at N is its norm times |N^(r-|s|-m)|: the sum of
-        # its terms' sizes to a few ulps, inside the bounds that decide levels
+        # its terms' sizes, up to the roundings of either sum
         rng = random.Random(20190216)
         checked = 0
         while checked < 12:
-            s = _random_point(rng, rng.randint(1, 3))
+            s = _random_point(rng, rng.randint(1, 4))
+            variant = rng.choice(("strict", "star"))
             with mp.workdps(rng.choice((20, 50))):
-                tree = mzv._TailShells(s, rng.choice(("strict", "star")))
+                tail = mzv._TailShells(s, variant)
                 try:
-                    tree.grow(20)
+                    tail.grow(20)
                 except PoleProximityError:
                     continue
-                for n_from, m in product((2, 5, 16, 1024), range(21)):
-                    size = tree._shell_at(n_from, m, size=True)
-                    norm = tree.norms[m][0]
-                    closed = norm * mp.power(n_from, (len(tree.ss) - tree.total_s - m).real)
-                    low, high = tree._bound(n_from, m)
-                    assert low <= size <= high
-                    ulps = (len(tree.leaves[m]) + 8) * mp.ldexp(size, -mp.prec)
-                    assert abs(closed - size) <= ulps, (s, n_from, m)
+                for n_from in (2, 5, 16, 1024):
+                    sizes = _flat_shells(s, n_from, 20, variant)[1]
+                    for m, size in enumerate(sizes):
+                        assert abs(tail._size_at(n_from, m) - size) <= mp.ldexp(size, 10 - mp.prec), (s, n_from, m)
             checked += 1
 
-    def test_failing_level_evaluates_no_leaf(self, monkeypatch):
+    def test_failing_level_evaluates_no_shell(self, monkeypatch):
         # levels whose estimates fail, including ones where an earlier
-        # prefix's estimate passes, sum no shell and sweep nothing
+        # prefix's estimate passes, evaluate no shell and sweep nothing
         evaluated, swept = [], []
         shell_at = mzv._TailShells._shell_at
 
-        def spy_shell(self, n_from, m, size=False):
+        def spy_shell(self, n_from, m):
             evaluated.append(m)
-            return shell_at(self, n_from, m, size)
+            return shell_at(self, n_from, m)
 
         def spy_sweep(*args, **kwargs):
             swept.append(args)
@@ -703,16 +727,16 @@ class TestShellNorms:
         for s in points:
             with mp.workdps(60):
                 target = mp.mpf(10) ** -52
-                trees = mzv._prefix_trees(s)
+                tails = mzv._prefix_tails(s)
                 for n_level, k_order in mzv._ladder(mzv.max_n()):
                     evaluated.clear()
                     swept.clear()
-                    if mzv._strict_level(s, trees, n_level, k_order, target) is not None:
+                    if mzv._strict_level(s, tails, n_level, k_order, target) is not None:
                         break
                     if not swept:
                         assert evaluated == [], (s, n_level, k_order)
                         failed += 1
-                        first_passes += trees[0].bounds(n_level - 1, k_order)[1] < target
+                        first_passes += tails[0].estimate(n_level - 1, k_order) < target
         assert failed > 5 and first_passes > 0
 
     def test_planned_level_passes_first(self, monkeypatch):
@@ -1040,10 +1064,10 @@ def test_correction_pole_message():
 # -- reference: the per-tuple correction loop ----------------------------------
 #
 # reg_correction_term once multiplied out the Pochhammer chain of every
-# correction tuple on its own.  It now sums one shell of the tail expansion of
-# the reversed prefix, which multiplies the same factors along a prefix tree
-# and adds the terms in another order: bit-identical at depth <= 1, within a
-# few roundings of the terms' sizes deeper, and refusing the same poles.
+# correction tuple on its own.  It now reads one shell of the tail expansion of
+# the reversed prefix, whose recursion multiplies the same factors and adds
+# the terms in another order: bit-identical at depth <= 1, within a few
+# roundings of the terms' sizes deeper, and refusing the same poles.
 
 
 def _flat_correction(point, s, star=False):
