@@ -57,7 +57,7 @@ def bernoulli_ratios(n: int, star: bool = False) -> tuple[Fraction, ...]:
 def _stirling_row(n: int) -> tuple[int, ...]:
     """(s(n, 0), .., s(n, n)), by s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k) from the
     nearest memoised row below, in a local loop: only rows asked for are kept."""
-    start = max((m for m in _stirling_row.cache if m < n), default=0)
+    start = max((m for m in list(_stirling_row.cache) if m < n), default=0)  # a copy: threads may add rows
     row = _stirling_row.cache.get(start, (1,))
     for m in range(start + 1, n + 1):
         prev = (*row, 0)

@@ -20,9 +20,14 @@ Analytic continuation splits the full sum by how many indices reach N:
 
     zeta(s) = zeta(s)_{<N} + sum_{j=1..r} zeta(s_1..s_j)_{>N-1} * zeta(s_{j+1}..s_r)_{<N},
 
-so only truncations and strict tails are ever needed, and no cancellation
-between continued values occurs away from the polar set.  The
-regularisation corrections of :func:`reg_via_tails` are shells of the
+and a weak chain n1 >= .. >= nr splits at N just as a strict one does,
+
+    zeta*(s) = zeta*(s)_{<N} + sum_{j=1..r} zeta*(s_1..s_j)_{>=N} * zeta*(s_{j+1}..s_r)_{<N},
+
+so only truncations and tails of one variant are ever needed, and no
+cancellation between continued values occurs away from the polar set.  The
+prefix tails s[:j] are the depth-j rows of one recursion for the tail of s.
+The regularisation corrections of :func:`reg_via_tails` are shells of the
 reversed-prefix tails.
 """
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, pairwise, product
+from itertools import accumulate
 from math import prod
 from typing import Iterator, Sequence
 
@@ -180,7 +185,8 @@ def zeta_truncated(s: Sequence, n_top: int, variant: str = "strict") -> mpmath.m
 
 
 class _TailShells:
-    """Shells of the tail expansion of s, free of N, built one |k| at a time.
+    """Shells of the tail expansion of s and of each prefix s[:j], free of
+    N, built one |k| at a time.
 
     Shell m sums the expansion terms over the k-tuples with |k| = m, less
     the one factor N^(r-|s|-m) that depends on N.  A tuple's next factor,
@@ -190,9 +196,10 @@ class _TailShells:
 
         W_j(p') = sum_(p <= p')  W_(j-1)(p) B_(p'-p)/(p'-p)! (x_j(p))_(p'-p-1),
 
-    from W_0 = 1 at p = 0: shell m is W_r(m).  The same recursion on the
-    factors' sizes gives its norm A_r(m), the sum of its terms' sizes, so
-    shell m at N is W_r(m) N^(r-|s|-m) and its size is A_r(m) |N^(r-|s|-m)|.
+    from W_0 = 1 at p = 0: shell m of the prefix s[:j] is W_j(m), and of s
+    itself W_r(m).  The same recursion on the factors' sizes gives its norm
+    A_j(m), the sum of its terms' sizes, so shell m of s[:j] at N is
+    W_j(m) N^(j-|s_1..s_j|-m) and its size is A_j(m) |N^(j-|s_1..s_j|-m)|.
     Each state keeps its running Pochhammer product as a raw libmp number,
     and each new shell advances it by one factor: building shell m costs
     about r (m+1) products.  A shell is built once, when first needed, so
@@ -201,14 +208,15 @@ class _TailShells:
     A term whose chain meets a reciprocal factor 1/(x_j(p)-1) within the pole
     tolerance is left out of the sums.  Each state remembers the first such
     factor met by a path into it, in lexicographic order of the k-tuples, and
-    shell m keeps that of the paths into W_r(m) as its pole.
+    shell m of s[:j] keeps that of the paths into W_j(m) as its pole.
     """
 
     def __init__(self, s: Sequence, variant: str) -> None:
         _check_variant(variant)
         self.star = variant == "star"
         self.ss = [to_mpc(x) for x in s]
-        self.total_s = mp.fsum(x.real for x in self.ss) + 1j * mp.fsum(x.imag for x in self.ss)
+        prefixes = [self.ss[:j] for j in range(len(self.ss) + 1)]  # totals[j]: |s[:j]|, as if alone
+        self.totals = [mp.fsum(x.real for x in p) + 1j * mp.fsum(x.imag for x in p) for p in prefixes]
         prec, rnd = mp._prec_rounding
         self._heads = list(accumulate((x._mpc_ for x in self.ss), lambda a, b: mpc_add(a, b, prec, rnd)))
         self._states: list[list] = [[] for _ in self.ss]  # [j-1][p]: [x_j(p), its running product]
@@ -217,67 +225,72 @@ class _TailShells:
         # first pole or None)
         self._paths: list[list[tuple]] = [[(mpc_one, fone, ((), None), None)]] + [[] for _ in self.ss]
         self._ratios: list = []  # [k]: B_k/k! as a raw mpf, None where it vanishes
-        self.shells: list[tuple] = []  # [m]: raw W_r(m), A_r(m) as an mpf, and the (j, p) of its pole
-        self._sizes: dict = {}  # (N, precision, m): shell m's size at N
+        # [j][m]: shell m of s[:j] as raw W_j(m), A_j(m) as an mpf, and the (j', p) of its pole
+        self.rows: list[list[tuple]] = [[] for _ in self._paths]
+        self._sizes: dict = {}  # (N, precision, m, j): shell m's size at N
 
-    def value(self, n_from: int, k_order: int) -> mpmath.mpc:
-        """Shells |k| <= k_order summed at N = n_from, once they are built."""
+    def value(self, n_from: int, k_order: int, depth: int) -> mpmath.mpc:
+        """Shells |k| <= k_order of s[:depth] summed at N = n_from, once
+        they are built."""
         value = mp.mpc(0)
         for m in range(k_order + 1):
-            value += self._shell_at(n_from, m)
+            value += self._shell_at(n_from, m, depth)
         return value
 
-    def estimate(self, n_from: int, k_order: int) -> mpmath.mpf:
-        """The first-omitted-shell estimate at N = n_from, the larger size of
-        shells K+1 and K+2; a TailNotConvergingError when the shells grow."""
+    def estimate(self, n_from: int, k_order: int, depth: int) -> mpmath.mpf:
+        """The first-omitted-shell estimate of s[:depth] at N = n_from, the
+        larger size of shells K+1 and K+2; a TailNotConvergingError when the
+        shells grow."""
         if n_from < 2:
             raise ValueError("tail expansions require N >= 2")
-        self.grow(k_order + 2)
+        self.grow(k_order + 2, depth)
 
         def larger(m: int) -> mpmath.mpf:
-            return max(self._size_at(n_from, m), self._size_at(n_from, m + 1))
+            return max(self._size_at(n_from, m, depth), self._size_at(n_from, m + 1, depth))
 
         estimate = larger(k_order + 1)
         if k_order >= 4 and estimate > larger(k_order - 1) > larger(k_order - 3):
             raise TailNotConvergingError(f"tail shells are growing at N={n_from}, K={k_order}")
         return estimate
 
-    def grow(self, top: int) -> None:
+    def grow(self, top: int, depth: int) -> None:
         """Build the shells up to |k| = top that are not built yet; a
-        PoleProximityError for the first of them with a pole."""
-        while len(self.shells) <= top:
+        PoleProximityError for the first of s[:depth]'s with a pole."""
+        while len(self._ratios) <= top:
             self._add_shell()
-        for _, _, pole in self.shells[: top + 1]:
+        for _, _, pole in self.rows[depth][: top + 1]:
             if pole is not None:
                 j, p = pole
                 shift = f"+{p}-{j}" if p else f"-{j}"
                 raise PoleProximityError(f"reciprocal factor 1/({_factor_name(j)}{shift}) is singular")
 
     def shell(self, m: int) -> tuple[mpmath.mpc, tuple[int, int] | None]:
-        """N-free shell m and the (j, p) of its pole, or None; the poles of
-        the shells below it are not its own and are not refused."""
-        while len(self.shells) <= m:
+        """N-free shell m of s and the (j, p) of its pole, or None; the poles
+        of the shells below it are not its own and are not refused."""
+        while len(self._ratios) <= m:
             self._add_shell()
-        value, _, pole = self.shells[m]
+        value, _, pole = self.rows[-1][m]
         return mp.make_mpc(value), pole
 
-    def _size_at(self, n_from: int, m: int) -> mpmath.mpf:
-        """Shell m's size at N = n_from: its norm times |N^(r-|s|-m)|."""
-        key = (n_from, mp.prec, m)
+    def _size_at(self, n_from: int, m: int, depth: int) -> mpmath.mpf:
+        """Shell m of s[:depth] at N = n_from: its norm times
+        |N^(depth-|s_1..s_depth|-m)|."""
+        key = (n_from, mp.prec, m, depth)
         if key not in self._sizes:
-            self._sizes[key] = self.shells[m][1] * mp.power(n_from, (len(self.ss) - self.total_s - m).real)
+            power = mp.power(n_from, (depth - self.totals[depth] - m).real)
+            self._sizes[key] = self.rows[depth][m][1] * power
         return self._sizes[key]
 
-    def _shell_at(self, n_from: int, m: int) -> mpmath.mpc:
-        """Shell m at N = n_from: one product with its power of N."""
-        power = mp.power(n_from, len(self.ss) - self.total_s - m)._mpc_
-        return mp.make_mpc(mpc_mul(self.shells[m][0], power, *mp._prec_rounding))
+    def _shell_at(self, n_from: int, m: int, depth: int) -> mpmath.mpc:
+        """Shell m of s[:depth] at N = n_from: one product with its power of N."""
+        power = mp.power(n_from, depth - self.totals[depth] - m)._mpc_
+        return mp.make_mpc(mpc_mul(self.rows[depth][m][0], power, *mp._prec_rounding))
 
     def _add_shell(self) -> None:
         """Build shell m: each depth's states (j, p <= m) advance their
         products to k = m - p, and W_j(m), A_j(m) and the first paths into
         them are summed over p, the state (j, m) entering at k = 0."""
-        m = len(self.shells)
+        m = len(self._ratios)
         prec, rnd = mp._prec_rounding
         ratio = bernoulli_ratios(m, self.star)[m]
         self._ratios.append(to_mpf(ratio)._mpf_ if ratio else None)
@@ -311,8 +324,9 @@ class _TailShells:
                     weight = mpc_add(weight, mpc_mul(w_in, factor, prec, rnd), prec, rnd)
                     norm = mpf_add(norm, mpf_mul(a_in, mpc_abs(factor, prec, rnd), prec, rnd), prec, rnd)
             self._paths[j].append((weight, norm, first, pole))
-        weight, norm, _, pole = self._paths[-1][m]
-        self.shells.append((weight, mp.make_mpf(norm), pole and pole[1]))
+        for row, paths in zip(self.rows, self._paths):
+            weight, norm, _, pole = paths[m]
+            row.append((weight, mp.make_mpf(norm), pole and pole[1]))
 
     def _state(self, j: int, p: int) -> list:
         """State (j, p) at k = 0: x_j(p) and (x_j(p))_(-1) = 1/(x_j(p)-1),
@@ -336,11 +350,12 @@ def zeta_tail(
 
     Strict: sum over n1 > ... > nr > N; star: n1 >= ... >= nr >= N.
     Sums the expansion over multi-indices |k| <= k_order; the returned
-    estimate is the absolute-sum of the first omitted shell.
+    estimate is the larger size (sum of the terms' sizes) of shells K+1 and
+    K+2.
     """
     shells = _TailShells(s, variant)
-    estimate = shells.estimate(n_from, k_order)
-    return shells.value(n_from, k_order), estimate
+    estimate = shells.estimate(n_from, k_order, len(s))
+    return shells.value(n_from, k_order, len(s)), estimate
 
 
 def _tail_auto(
@@ -351,9 +366,9 @@ def _tail_auto(
     shells = _TailShells(s, variant)
     best = mp.inf
     for k_order in range(4, K_CAP + 1, 2):
-        est = shells.estimate(n_from, k_order)
+        est = shells.estimate(n_from, k_order, len(s))
         if est < target:
-            return shells.value(n_from, k_order), est
+            return shells.value(n_from, k_order, len(s)), est
         best = min(best, est)
     raise TailNotConvergingError(f"tail at N={n_from} stalls at estimate {mpmath.nstr(best)}")
 
@@ -363,14 +378,6 @@ def _tail_auto(
 def _check_variant(variant: str) -> None:
     if variant not in ("strict", "star"):
         raise ValueError(f"unknown variant: {variant}")
-
-
-def _merge_patterns(r: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Consecutive-block partitions of (0..r-1), r >= 1, as (start, stop)
-    pairs: each of the r-1 gaps is cut or not, "cut" first."""
-    for cuts in product((True, False), repeat=r - 1):
-        stops = [p for p, cut in enumerate(cuts, start=1) if cut]
-        yield tuple(pairwise((0, *stops, r)))
 
 
 def _exact_key(x):
@@ -394,44 +401,26 @@ def zeta_value_with_error(
     check_depth(r)
     if r == 0:
         return mp.mpc(1), mp.zero
-    if variant == "star" and r == 1:
-        return zeta_value_with_error(s, digits, "strict")
-    if variant == "star":
-        # inclusion of equalities = sum of strict values over all
-        # coordinate merges into consecutive blocks (2^(r-1) terms)
-        value = mp.mpc(0)
-        err = mp.zero
-        with mp.workdps(working_dps(digits)):
-            for pattern in _merge_patterns(r):
-                merged = [
-                    sum(Fraction(x) if _is_exact(x) else to_mpc(x) for x in s[a:b])
-                    for a, b in pattern
-                ]
-                v, e = zeta_value_with_error(merged, digits + 2, "strict")
-                value += v
-                err += e
-        return value, err
     desc = polar_description(s)
     if desc is not None:
         raise PolarPointError(desc)
-    return _strict_value(s, digits)
+    # at depth 1 the star value is the strict one
+    return _continued_value(s, digits, "strict" if r == 1 else variant)
 
 
 def zeta_value(s: Sequence, digits: int = 12, variant: str = "strict") -> mpmath.mpc:
     return zeta_value_with_error(s, digits, variant)[0]
 
 
-def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
+def _continued_value(s: Sequence, digits: int, variant: str) -> tuple[mpmath.mpc, mpmath.mpf]:
     target = mp.mpf(10) ** (-(digits + 2))
     cap = max_n()
     dps = working_dps(digits)
     with mp.workdps(dps):
-        tails = _prefix_tails(s)
+        tails = _TailShells(s, variant)
         planned = _planned_levels(s, tails, target, cap)
-        if planned is None:  # a pole among the shells: the ladder meets it where it always did
-            tails, planned = _prefix_tails(s), []
         for n_level, k_order in planned + [lv for lv in _ladder(cap) if lv not in planned]:
-            level = _strict_level(s, tails, n_level, k_order, target)
+            level = _value_level(s, tails, n_level, k_order, target)
             if level is not None:
                 total, err, scale = level
                 # the addends can dwarf the value: redo this level with the
@@ -440,9 +429,9 @@ def _strict_value(s: Sequence, digits: int) -> tuple[mpmath.mpc, mpmath.mpf]:
                 if lost > 1:
                     tails = None  # free these shells before the finer ones are built
                     with mp.workdps(dps + int(mpmath.ceil(mpmath.log10(lost)))):
-                        total = _strict_level(s, _prefix_tails(s), n_level, k_order, mp.inf)[0]
+                        total = _value_level(s, _TailShells(s, variant), n_level, k_order, mp.inf)[0]
                 return +total, err
-        bounded = _integral_test_value(s, target)
+        bounded = _integral_test_value(s, target, variant == "star")
         if bounded is not None:
             return bounded
         raise PrecisionUnreachableError(
@@ -462,22 +451,21 @@ def _ladder(cap: int) -> Iterator[tuple[int, int]]:
         n_level, k_order = min(n_level * 2, cap), min(k_order + 2, K_CAP)
 
 
-def _prefix_tails(s: Sequence) -> list[_TailShells]:
-    """The strict tail shells of s[:1], .., s[:r], none built yet."""
-    return [_TailShells(s[:j], "strict") for j in range(1, len(s) + 1)]
-
-
 # Seconds per operation, timed over the values of perfbench's values pool on
 # a 2-CPU Intel Xeon with mpmath's pure-Python backend (their ratios are what
-# matter): one state's step in a shell build (shell m of prefix j takes
-# j (m+1) of them), the power of N that each evaluated shell takes, and one
-# sweep term (one of the N (distinct exponents + 2r)).
+# matter): one state's step in a shell build, the power of N that each
+# evaluated shell takes, and one sweep term (one of the N (distinct
+# exponents + 2r)).  The plan charges shell m of prefix j as j (m+1) steps,
+# as when each prefix had its own recursion; the shared recursion builds
+# shell m of every prefix in about r (m+1), so that charge is too high.  It
+# is kept so that the planned levels stay as they were.
 SHELL_STEP_S, SHELL_EVAL_S, SWEEP_TERM_S = 8e-6, 40e-6, 10e-6
 
 
-def _planned_levels(s: Sequence, tails: list[_TailShells], target, cap: int):
+def _planned_levels(s: Sequence, tails: _TailShells, target, cap: int) -> list[tuple[int, int]]:
     """The levels (N, K) whose estimates the shell norms predict to pass,
-    cheapest first; None when a shell meets a pole while they grow.
+    cheapest first; none when a shell meets a pole while they grow, which
+    the ladder then meets where it always did.
 
     N runs over the ladder's N and K over its orders 4, 6, .., K_CAP.
     Shell m of prefix j has size norm * N^(j-Re|s_1..s_j|-m) at N, so each
@@ -493,19 +481,25 @@ def _planned_levels(s: Sequence, tails: list[_TailShells], target, cap: int):
     log_target = float(mpmath.log(target))
     ns = sorted({n for n, _ in _ladder(cap)})
     sigmas = [float(to_mpc(x).real) for x in s]
-    heads = [float(tail.total_s.real) for tail in tails]
+    heads = [float(total.real) for total in tails.totals[1:]]
     distinct = len({to_mpc(x)._mpc_ for x in s})
-    # per N: ln(N-1), the sweep's cost and each prefix's ln suffix bound
+    # per N: ln of the tails' threshold, the sweep's cost and each prefix's
+    # ln suffix bound
     at = []
     for n in ns:
         # the suffix s[j:] sums over N > n_(j+1) > .. > n_r >= 1, so its index
-        # i places down from the top runs over r-j-i .. N-1-i
+        # i places down from the top runs over r-j-i .. N-1-i; a weak chain's
+        # indices each run over 1 .. N-1
         bounds = [
-            sum(_log_power_sum(sigma, r - j - i, n - 1 - i) for i, sigma in enumerate(sigmas[j:]))
+            sum(
+                _log_power_sum(sigma, *((1, n - 1) if tails.star else (r - j - i, n - 1 - i)))
+                for i, sigma in enumerate(sigmas[j:])
+            )
             for j in range(1, r + 1)
         ]
-        at.append((n, math.log(n - 1), (n - 1) * (distinct + 2 * r) * SWEEP_TERM_S, bounds))
-    logs: list[list[float]] = [[] for _ in tails]  # ln(norm) of each built shell
+        n_from = n if tails.star else n - 1
+        at.append((n, math.log(n_from), (n - 1) * (distinct + 2 * r) * SWEEP_TERM_S, bounds))
+    logs: list[list[float]] = [[] for _ in s]  # [j-1]: ln(norm) of each built shell of s[:j]
 
     def log_norm(j: int, m: int) -> float:
         """ln(norm) of prefix j's shell m; past the built ones, geometric
@@ -537,12 +531,12 @@ def _planned_levels(s: Sequence, tails: list[_TailShells], target, cap: int):
     candidates, best = [], math.inf
     for k_order in range(4, K_CAP + 1, 2):
         try:
-            for tail in tails:
-                tail.grow(k_order + 2)
+            for j in range(1, r + 1):
+                tails.grow(k_order + 2, j)
         except PoleProximityError:
-            return None
-        for tail, log_norms in zip(tails, logs):
-            for _, norm, _ in tail.shells[len(log_norms) :]:
+            return []
+        for row, log_norms in zip(tails.rows[1:], logs):
+            for _, norm, _ in row[len(log_norms) :]:
                 log_norms.append(float(mpmath.log(norm)) if norm else -math.inf)
         cost, n_level = cheapest(k_order, best)
         if n_level > 0:
@@ -591,23 +585,25 @@ def _log_power_sum(sigma: float, low: int, high: int) -> float:
     return top + math.log1p(math.exp(min(ends, area) - top))
 
 
-def _strict_level(s: Sequence, tails: list[_TailShells], n_level: int, k_order: int, target):
+def _value_level(s: Sequence, tails: _TailShells, n_level: int, k_order: int, target):
     """Truncation below N plus the prefix tails at order K: the value, its
     error estimate and the sum of the addends' sizes; None when the error
-    estimate is not below ``target``.  A level that the shell norms fail
-    evaluates no shell and sweeps nothing."""
-    n_from = n_level - 1
+    estimate is not below ``target``.  Strict tails start past N - 1, weak
+    ones at N.  A level that the shell norms fail evaluates no shell and
+    sweeps nothing."""
+    r = len(s)
+    n_from = n_level if tails.star else n_level - 1
     ests = []
     try:
         # prefix by prefix: one whose shells grow stops the level before the
-        # next prefix's shells are built
-        for tail in tails:
-            if tail is tails[-1] and any(est >= target for est in ests):
-                # the level fails whatever this tail's estimate: only build
-                # its shells, so that a pole among them stops the value here
-                tail.grow(k_order + 2)
+        # deeper prefixes' poles are refused
+        for j in range(1, r + 1):
+            if j == r and any(est >= target for est in ests):
+                # the level fails whatever this tail's estimate: only refuse
+                # a pole among its shells, so that it stops the value here
+                tails.grow(k_order + 2, j)
                 return None
-            ests.append(tail.estimate(n_from, k_order))
+            ests.append(tails.estimate(n_from, k_order, j))
     except TailNotConvergingError:
         return None
     # each estimate alone bounds the error below: sum shells and sweep only
@@ -615,21 +611,21 @@ def _strict_level(s: Sequence, tails: list[_TailShells], n_level: int, k_order: 
     if any(est >= target for est in ests):
         return None
     # the whole truncation and every suffix's, from one sweep
-    total, *suffixes = nested_sums(s, (n_level,))[1]
+    total, *suffixes = nested_sums(s, (n_level,), star=tails.star)[1]
     err, scale = mp.zero, abs(total)
-    for tail, est, suffix in zip(tails, ests, suffixes):
-        term = tail.value(n_from, k_order) * suffix
+    for j, (est, suffix) in enumerate(zip(ests, suffixes), start=1):
+        term = tails.value(n_from, k_order, j) * suffix
         total += term
         scale += abs(term)
         err += est * max(mp.one, abs(suffix))
     return (total, err, scale) if err < target else None
 
 
-def _integral_test_value(s: Sequence, target):
+def _integral_test_value(s: Sequence, target, star: bool):
     """Truncation below N = MIN_MAX_N and the integral-test bound on its
     tails, when every Re(s_i) = sigma_i > 1 and the bound is below
     ``target``; else None.  Dropping the order of the positive sum over
-    n1 > .. > nj >= N bounds |tail(s[:j])| by
+    n1 > .. > nj >= N (or n1 >= .. >= nj >= N) bounds |tail(s[:j])| by
     prod_{i<=j} (N^-sigma_i + N^(1-sigma_i)/(sigma_i-1)).  It serves where
     (s)_k grows like |s|^k faster than any level's N^-k, as at a huge s.
     """
@@ -637,7 +633,7 @@ def _integral_test_value(s: Sequence, target):
     if min(sigmas) <= 1:
         return None
     n = MIN_MAX_N
-    total, *suffixes = nested_sums(s, (n,))[1]
+    total, *suffixes = nested_sums(s, (n,), star=star)[1]
     err, bound = mp.zero, mp.one
     for sigma, suffix in zip(sigmas, suffixes):
         bound *= mp.power(n, -sigma) + mp.power(n, 1 - sigma) / (sigma - 1)

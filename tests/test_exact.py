@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
@@ -146,6 +147,18 @@ def test_tables_are_safe_under_concurrent_growth():
         stir = list(pool.map(lambda n: stirling_first(n, n // 2), range(2, 60)))
     assert bern == [bernoulli(2 * n) for n in range(120)]
     assert stir == [stirling_first(n, n // 2) for n in range(2, 60)]
+    # a Stirling row read while other threads add rows: with threads switching
+    # every microsecond, a scan of the live memo raised in about half of these
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            exact._stirling_row.cache.clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                again = list(pool.map(lambda n: stirling_first(n, n // 2), range(2, 60)))
+            assert again == stir
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- the locked append-only tables and the product loop that the memos

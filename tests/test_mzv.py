@@ -505,7 +505,7 @@ class TestTailOracle:
         add_shell = mzv._TailShells._add_shell
 
         def counted(self):
-            built.append(len(self.shells))
+            built.append(len(self.rows[-1]))
             add_shell(self)
 
         monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
@@ -534,20 +534,22 @@ class TestTailOracle:
 
 # -- reference: each visited level rebuilt from scratch ----------------------
 #
-# _strict_value once called zeta_tail afresh for every prefix at every level
-# (N, K) of a doubling ladder.  Whatever levels the schedule now visits, each
-# must return the same bits as that rebuilding level, or raise the same error,
-# and the value must be the one its last passing level gives.
+# The value route once called zeta_tail afresh for every prefix at every
+# level (N, K) of a doubling ladder.  Whatever levels the schedule now
+# visits, each must return the same bits as that rebuilding level, or raise
+# the same error, and the value must be the one its last passing level gives.
 
 
-def _rebuilding_strict_level(s, n_level, k_order, target):
+def _rebuilding_level(s, n_level, k_order, target, variant):
+    star = variant == "star"
+    n_from = n_level if star else n_level - 1
     try:
-        tails = [zeta_tail(s[:j], n_level - 1, k_order) for j in range(1, len(s) + 1)]
+        tails = [zeta_tail(s[:j], n_from, k_order, variant) for j in range(1, len(s) + 1)]
     except TailNotConvergingError:
         return None
     if any(est >= target for _, est in tails):
         return None
-    total, *suffixes = nested_sums(s, (n_level,))[1]
+    total, *suffixes = nested_sums(s, (n_level,), star=star)[1]
     err, scale = mp.zero, abs(total)
     for (tail, est), suffix in zip(tails, suffixes):
         term = tail * suffix
@@ -563,42 +565,43 @@ def _level_bits(level):
 
 
 def _record_levels(monkeypatch):
-    """Spy on mzv._strict_level: the list it fills with (point, N, K,
-    target, precision, outcome bits or (error type, message)) per call."""
+    """Spy on mzv._value_level: the list it fills with (point, variant, N,
+    K, target, precision, outcome bits or (error type, message)) per call."""
     visited = []
-    strict_level = mzv._strict_level
+    value_level = mzv._value_level
 
     def level(point, tails, n_level, k_order, target):
-        record = [tuple(point), n_level, k_order, target, mp.prec]
+        variant = "star" if tails.star else "strict"
+        record = [tuple(point), variant, n_level, k_order, target, mp.prec]
         visited.append(record)
         try:
-            out = strict_level(point, tails, n_level, k_order, target)
+            out = value_level(point, tails, n_level, k_order, target)
         except PoleProximityError as exc:
             record.append((type(exc), str(exc)))
             raise
         record.append(_level_bits(out))
         return out
 
-    monkeypatch.setattr(mzv, "_strict_level", level)
+    monkeypatch.setattr(mzv, "_value_level", level)
     return visited
 
 
 def _assert_levels_replay(visited):
-    for point, n_level, k_order, target, prec, outcome in visited:
+    for point, variant, n_level, k_order, target, prec, outcome in visited:
         with mp.workprec(prec):
             try:
-                old = _level_bits(_rebuilding_strict_level(point, n_level, k_order, target))
+                old = _level_bits(_rebuilding_level(point, n_level, k_order, target, variant))
             except PoleProximityError as exc:
                 old = (type(exc), str(exc))
-        assert outcome == old, (point, n_level, k_order)
+        assert outcome == old, (point, variant, n_level, k_order)
 
 
-def _strict_value_replays(s, digits, monkeypatch):
-    """_strict_value's outcome, with every visited level replayed by the
+def _value_replays(s, digits, monkeypatch, variant="strict"):
+    """_continued_value's outcome, with every visited level replayed by the
     rebuilding level and the value traced back to its last passing one."""
     visited = _record_levels(monkeypatch)
     try:
-        value, err = mzv._strict_value(s, digits)
+        value, err = mzv._continued_value(s, digits, variant)
     except (PoleProximityError, PrecisionUnreachableError) as exc:
         monkeypatch.undo()
         _assert_levels_replay(visited)
@@ -609,8 +612,8 @@ def _strict_value_replays(s, digits, monkeypatch):
     # every level fails until one passes; a second pass may redo that one
     passed = [i for i, record in enumerate(visited) if record[-1] is not None]
     first, last = visited[passed[0]], visited[passed[-1]]
-    assert passed[-1] <= passed[0] + 1 and last[1:3] == first[1:3]
-    with mp.workprec(first[4]):
+    assert passed[-1] <= passed[0] + 1 and last[2:4] == first[2:4]
+    with mp.workprec(first[5]):
         expect = +mp.make_mpc(last[-1][0])
     assert (value._mpc_, err._mpf_) == (expect._mpc_, first[-1][1])
     return value._mpc_, err._mpf_
@@ -620,24 +623,27 @@ class TestValueLadderOracle:
     def test_seeded_points_match_the_rebuilding_ladder(self, monkeypatch):
         rng = random.Random(20190215)
         cases = []
-        while len(cases) < 16:
+        while len(cases) < 24:
             depth = rng.randint(1, 4)
             s = _random_point(rng, depth)
             if polar_description(s) is None:
-                cases.append((s, (12, 30, 50)[len(cases) % 3] if depth < 4 else 12))
+                # the first 16 strict, then weak chains of depth >= 2
+                if len(cases) < 16 or depth > 1:
+                    variant = "star" if len(cases) >= 16 else "strict"
+                    cases.append((s, (12, 30, 50)[len(cases) % 3] if depth < 4 else 12, variant))
         outcomes = set()
-        for s, digits in cases:
-            outcome = _strict_value_replays(s, digits, monkeypatch)
-            outcomes.add(outcome[0] if isinstance(outcome[0], type) else tuple)
-        assert tuple in outcomes
+        for s, digits, variant in cases:
+            outcome = _value_replays(s, digits, monkeypatch, variant)
+            outcomes.add((variant, outcome[0] if isinstance(outcome[0], type) else tuple))
+        assert {("strict", tuple), ("star", tuple)} <= outcomes
 
     @pytest.mark.parametrize("s, digits, variant", CANCELLING)
     def test_second_pass_matches_the_rebuilding_ladder(self, s, digits, variant, monkeypatch):
-        # replay every level that the value's strict values visit, at the
-        # caller's precision, on the ladder alone and on the planned levels;
-        # one of them takes the cancellation guard's second pass, on the
-        # ladder always and under the plan but at (1/4, -5/2), whose planned
-        # level's smaller N spares it
+        # replay every level that the value visits, at the caller's
+        # precision, on the ladder alone and on the planned levels; one of
+        # them takes the cancellation guard's second pass, on the ladder
+        # always and under the plan but at (1/4, -5/2), whose planned level's
+        # smaller N spares it
         spared = (s, digits) == ((Fraction(1, 4), Fraction(-5, 2)), 30)
         for ladder_only in (True, False):
             if ladder_only:
@@ -646,43 +652,77 @@ class TestValueLadderOracle:
             zeta_value_with_error.cache.clear()
             zeta_value_with_error(s, digits, variant)
             monkeypatch.undo()
-            second_pass = any(record[3] == mp.inf for record in visited)
+            second_pass = any(record[4] == mp.inf for record in visited)
             assert second_pass == (ladder_only or not spared)
             _assert_levels_replay(visited)
 
     def test_pole_proximity_fires_at_the_same_level(self, monkeypatch):
         for s in [(1 + mp.mpf(10) ** -14, 2), (Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14)]:
-            new = _strict_value_replays(s, 12, monkeypatch)
-            assert new[0] is PoleProximityError
+            for variant in ("strict", "star"):
+                new = _value_replays(s, 12, monkeypatch, variant)
+                assert new[0] is PoleProximityError
 
     def test_each_shell_is_built_once_per_value(self, monkeypatch):
         s = (Fraction(-5, 2), Fraction(1, 3), Fraction(5, 2))
         for ladder_only in (True, False):
             built, levels = {}, []
-            add_shell, strict_level = mzv._TailShells._add_shell, mzv._strict_level
+            add_shell, value_level = mzv._TailShells._add_shell, mzv._value_level
 
             def counted(self):
-                built.setdefault(self, []).append(len(self.shells))
+                built.setdefault(self, []).append(len(self.rows[-1]))
                 add_shell(self)
 
             def level(s, tails, n_level, k_order, target):
                 levels.append(k_order)
-                return strict_level(s, tails, n_level, k_order, target)
+                return value_level(s, tails, n_level, k_order, target)
 
             monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
-            monkeypatch.setattr(mzv, "_strict_level", level)
+            monkeypatch.setattr(mzv, "_value_level", level)
             if ladder_only:
                 monkeypatch.setattr(mzv, "_planned_levels", lambda *args: [])
             zeta_value_with_error.cache.clear()
             zeta_value_with_error(s, 30)
             monkeypatch.undo()
-            if ladder_only:
-                # the second pass of the cancellation guard builds its own tails
-                assert len(levels) > 2 and sorted(len(tail.ss) for tail in built) == [1, 1, 2, 2, 3, 3]
-            for tail, shells in built.items():
-                assert shells == list(range(len(shells)))
-                if len(tail.ss) == 3:
-                    assert len(shells) == max(levels) + 3
+            # one recursion for all three prefixes; the second pass of the
+            # cancellation guard builds its own
+            assert [len(tail.ss) for tail in built] == ([3, 3] if ladder_only else [3])
+            assert len(levels) > 2 or not ladder_only
+            for shells in built.values():
+                assert shells == list(range(len(shells))) and len(shells) == max(levels) + 3
+
+    @pytest.mark.parametrize("star", [False, True])
+    def test_one_tail_recursion_per_pass(self, star, monkeypatch):
+        # each value builds one _TailShells, and one more for the
+        # cancellation guard's second pass
+        made, passes = [], []
+        init, value_level = mzv._TailShells.__init__, mzv._value_level
+
+        def counted(self, s, variant):
+            made.append((len(s), variant))
+            init(self, s, variant)
+
+        def level(s, tails, n_level, k_order, target):
+            passes.append(target == mp.inf)
+            return value_level(s, tails, n_level, k_order, target)
+
+        monkeypatch.setattr(mzv._TailShells, "__init__", counted)
+        monkeypatch.setattr(mzv, "_value_level", level)
+        variant = "star" if star else "strict"
+        seen = set()
+        for s, digits in [
+            ((Fraction(-5, 2), Fraction(-5, 2)), 30),
+            ((Fraction(9, 4), Fraction(1, 2), mp.mpc(2.25, -1), Fraction(-3, 4)), 12),
+            ((Fraction(1, 2), mp.mpc(-2.5, -1), Fraction(-3, 2)), 12),
+            ((Fraction(3, 2), Fraction(5, 2), 2), 30),
+        ]:
+            made.clear()
+            passes.clear()
+            zeta_value_with_error.cache.clear()
+            zeta_value_with_error(s, digits, variant)
+            second = any(passes)
+            assert made == [(len(s), variant)] * (2 if second else 1), s
+            seen.add(second)
+        assert seen == {False, True}
 
 
 class TestShellNorms:
@@ -697,13 +737,14 @@ class TestShellNorms:
             with mp.workdps(rng.choice((20, 50))):
                 tail = mzv._TailShells(s, variant)
                 try:
-                    tail.grow(20)
+                    tail.grow(20, len(s))
                 except PoleProximityError:
                     continue
                 for n_from in (2, 5, 16, 1024):
                     sizes = _flat_shells(s, n_from, 20, variant)[1]
                     for m, size in enumerate(sizes):
-                        assert abs(tail._size_at(n_from, m) - size) <= mp.ldexp(size, 10 - mp.prec), (s, n_from, m)
+                        got = tail._size_at(n_from, m, len(s))
+                        assert abs(got - size) <= mp.ldexp(size, 10 - mp.prec), (s, n_from, m)
             checked += 1
 
     def test_failing_level_evaluates_no_shell(self, monkeypatch):
@@ -712,9 +753,9 @@ class TestShellNorms:
         evaluated, swept = [], []
         shell_at = mzv._TailShells._shell_at
 
-        def spy_shell(self, n_from, m):
+        def spy_shell(self, n_from, m, depth):
             evaluated.append(m)
-            return shell_at(self, n_from, m)
+            return shell_at(self, n_from, m, depth)
 
         def spy_sweep(*args, **kwargs):
             swept.append(args)
@@ -727,16 +768,16 @@ class TestShellNorms:
         for s in points:
             with mp.workdps(60):
                 target = mp.mpf(10) ** -52
-                tails = mzv._prefix_tails(s)
+                tails = mzv._TailShells(s, "strict")
                 for n_level, k_order in mzv._ladder(mzv.max_n()):
                     evaluated.clear()
                     swept.clear()
-                    if mzv._strict_level(s, tails, n_level, k_order, target) is not None:
+                    if mzv._value_level(s, tails, n_level, k_order, target) is not None:
                         break
                     if not swept:
                         assert evaluated == [], (s, n_level, k_order)
                         failed += 1
-                        first_passes += tails[0].estimate(n_level - 1, k_order) < target
+                        first_passes += tails.estimate(n_level - 1, k_order, 1) < target
         assert failed > 5 and first_passes > 0
 
     def test_planned_level_passes_first(self, monkeypatch):
@@ -747,9 +788,10 @@ class TestShellNorms:
             ((Fraction(9, 4), Fraction(1, 2), mp.mpc(2.25, -1), Fraction(-3, 4)), 12),
             ((mp.mpc(0.5, 30),), 30),
         ]:
-            visited.clear()
-            mzv._strict_value(s, digits)
-            assert visited[0][-1] is not None, s
+            for variant in ("strict", "star") if len(s) > 1 else ("strict",):
+                visited.clear()
+                mzv._continued_value(s, digits, variant)
+                assert visited[0][-1] is not None, (s, variant)
 
 
 class TestClosedFormValues:
@@ -763,6 +805,147 @@ class TestClosedFormValues:
                 cases.append(((x,), mp.zeta(to_mpc(x))))
             for s, ref in cases:
                 assert abs(zeta_value(s, digits) - ref) < mp.mpf(10) ** -digits, s
+
+
+# -- one recursion for every prefix tail -------------------------------------
+
+
+def _row_bits(row):
+    return [(weight, norm._mpf_, pole) for weight, norm, pole in row]
+
+
+class TestSharedRecursion:
+    def test_prefix_rows_match_the_prefix_tails(self):
+        # the depth-j rows of the tail of s are, bit for bit, the tail of
+        # s[:j] built alone: shells, norms, poles, values and estimates
+        rng = random.Random(20190218)
+        points = [_random_point(rng, rng.randint(2, 6)) for _ in range(30)]
+        points += [p for p in _polar_grid(random.Random(9)) if len(p) >= 2][::25]
+        poles = 0
+        for s in points:
+            variant = rng.choice(("strict", "star"))
+            with mp.workdps(rng.choice((20, 50))):
+                shared = mzv._TailShells(s, variant)
+                shared.shell(12)
+                for j in range(1, len(s) + 1):
+                    alone = mzv._TailShells(s[:j], variant)
+                    alone.shell(12)
+                    assert _row_bits(shared.rows[j]) == _row_bits(alone.rows[-1]), (s, j)
+                    assert shared.totals[j]._mpc_ == alone.totals[-1]._mpc_
+                    poles += any(pole for _, _, pole in alone.rows[-1])
+                    if not any(pole for _, _, pole in alone.rows[-1][:11]):
+                        for n_from in (5, 64):
+                            assert shared.value(n_from, 8, j)._mpc_ == alone.value(n_from, 8, j)._mpc_
+                            try:
+                                est = alone.estimate(n_from, 8, j)
+                            except TailNotConvergingError:
+                                with pytest.raises(TailNotConvergingError):
+                                    shared.estimate(n_from, 8, j)
+                                continue
+                            assert shared.estimate(n_from, 8, j)._mpf_ == est._mpf_
+        assert poles > 5
+
+
+# -- reference: star values as sums of strict values --------------------------
+#
+# A star value was once the sum of the strict values at digits + 2 over the
+# 2^(r-1) merges of consecutive coordinates into blocks.  The direct route,
+# one weak sweep and the weak prefix tails, must agree with it to the digits
+# asked for and refuse what it refused, with the same message.
+
+
+def _recursive_merge_patterns(r):
+    """The partitions of (0..r-1) into consecutive blocks, as (start, stop)
+    pairs, shortest first block first."""
+    if r == 0:
+        yield ()
+        return
+    for first_len in range(1, r + 1):
+        for rest in _recursive_merge_patterns(r - first_len):
+            shifted = tuple((a + first_len, b + first_len) for a, b in rest)
+            yield ((0, first_len),) + shifted
+
+
+def _merge_route(s, digits):
+    """The star value and its error as the sum of the strict values at
+    digits + 2 over the merges; the first merge to refuse raises."""
+    value, err = mp.mpc(0), mp.zero
+    with mp.workdps(mzv.working_dps(digits)):
+        for pattern in _recursive_merge_patterns(len(s)):
+            merged = [
+                sum(Fraction(x) if isinstance(x, (int, Fraction)) else to_mpc(x) for x in s[a:b])
+                for a, b in pattern
+            ]
+            v, e = zeta_value_with_error(merged, digits + 2, "strict")
+            value += v
+            err += e
+    return value, err
+
+
+def _is_continued(s):
+    """Whether s lies outside the domain of convergence, where some
+    Re(s_1+..+s_j) <= j."""
+    heads = [sum(to_mpc(x).real for x in s[:j]) for j in range(1, len(s) + 1)]
+    return any(head <= j for j, head in enumerate(heads, start=1))
+
+
+class TestStarMergeOracle:
+    def test_merges_are_the_block_partitions(self):
+        for r in range(1, 8):
+            patterns = list(_recursive_merge_patterns(r))
+            assert len(set(patterns)) == len(patterns) == 2 ** (r - 1)
+            assert all(p[0][0] == 0 and p[-1][1] == r and all(a[1] == b[0] for a, b in zip(p, p[1:])) for p in patterns)
+
+    def test_direct_route_matches_the_merge_route(self):
+        rng = random.Random(20190219)
+        kinds, checked = set(), 0
+        while checked < 15:
+            depth = 2 + checked % 5
+            digits = (12, 30, 50)[checked % 3] if depth <= 4 else (12, 30)[checked % 2]
+            s = _random_point(rng, depth)
+            if polar_description(s) is not None:
+                continue
+            with mp.workdps(digits + 20):
+                try:
+                    expect = _merge_route(s, digits)[0]
+                except (PoleProximityError, PrecisionUnreachableError):
+                    continue
+                got = zeta_value(s, digits, "star")
+                assert abs(got - expect) <= mp.mpf(10) ** -digits * max(1, abs(expect)), (s, digits)
+            kinds.add("complex" if any(to_mpc(x).imag for x in s) else "real")
+            kinds.add("continued" if _is_continued(s) else "convergent")
+            checked += 1
+        assert kinds == {"complex", "real", "continued", "convergent"}
+
+    def test_refusals_match_the_merge_route(self):
+        # near-polar weak chains of depth 2-6: the direct route refuses what
+        # the merge route refused first, with the same message; the merge
+        # route takes up to half a minute where an exponent is below -8
+        points = [p for p in _polar_grid(random.Random(10)) if len(p) >= 2]
+        points = [p for p in points if min(to_mpc(x).real for x in p) >= -8]
+        refused = set()
+        for s in points[::6]:
+            outcomes = []
+            for route in (lambda: _merge_route(s, 12), lambda: zeta_value_with_error(s, 12, "star")):
+                try:
+                    route()
+                    outcomes.append(None)
+                except (PolarPointError, PoleProximityError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+                except PrecisionUnreachableError:
+                    outcomes.append(PrecisionUnreachableError)
+            assert outcomes[0] == outcomes[1], s
+            refused.add(outcomes[0] and outcomes[0][0])
+        assert refused == {None, PolarPointError, PoleProximityError}
+
+    @pytest.mark.parametrize("digits", [12, 30, 50])
+    def test_two_ones_closed_form(self, digits):
+        # zeta*(2, {1}^n) = (n+1) zeta(n+2), within est_error
+        for n in range(1, 6):
+            with mp.workdps(digits + 20):
+                value, est = zeta_value_with_error((2,) + (1,) * n, digits, "star")
+                truth = (n + 1) * mp.zeta(n + 2)
+                assert abs(value - truth) <= est, (n, digits)
 
 
 # -- reference: the level-by-level running sums -------------------------------
@@ -904,18 +1087,8 @@ class TestNestedSumOracle:
             zeta_truncated((2,), 0)
 
 
-# -- the recursive generators that exact.compositions and itertools.product
-# replaced, kept as the reference ---------------------------------------------
-
-
-def _recursive_merge_patterns(r):
-    if r == 0:
-        yield ()
-        return
-    for first_len in range(1, r + 1):
-        for rest in _recursive_merge_patterns(r - first_len):
-            shifted = tuple((a + first_len, b + first_len) for a, b in rest)
-            yield ((0, first_len),) + shifted
+# -- the recursive generator that exact.compositions replaced, kept as the
+# reference --------------------------------------------------------------------
 
 
 def _recursive_correction_tuples(prefix):
@@ -938,10 +1111,6 @@ def _recursive_correction_tuples(prefix):
 
 
 class TestEnumerationOracle:
-    def test_merge_patterns_match_the_recursion(self):
-        for r in range(1, 9):
-            assert list(mzv._merge_patterns(r)) == list(_recursive_merge_patterns(r))
-
     def test_correction_tuples_match_the_recursion(self):
         count = 0
         for depth in range(5):
