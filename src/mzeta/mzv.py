@@ -418,8 +418,7 @@ def _continued_value(s: Sequence, digits: int, variant: str) -> tuple[mpmath.mpc
     dps = working_dps(digits)
     with mp.workdps(dps):
         tails = _TailShells(s, variant)
-        planned = _planned_levels(s, tails, target, cap)
-        for n_level, k_order in planned + [lv for lv in _ladder(cap) if lv not in planned]:
+        for n_level, k_order in _planned_levels(s, tails, target, cap):
             level = _value_level(s, tails, n_level, k_order, target)
             if level is not None:
                 total, err, scale = level
@@ -440,34 +439,22 @@ def _continued_value(s: Sequence, digits: int, variant: str) -> tuple[mpmath.mpc
         )
 
 
-def _ladder(cap: int) -> Iterator[tuple[int, int]]:
-    """The doubling ladder of levels (N, K): N = 16, 32, .. up to the cap
-    (no level passes it) and K = 4, 6, .. up to K_CAP, both ending there."""
-    n_level, k_order = MIN_MAX_N, 4
-    while True:
-        yield n_level, k_order
-        if n_level >= cap and k_order >= K_CAP:
-            return
-        n_level, k_order = min(n_level * 2, cap), min(k_order + 2, K_CAP)
-
-
 # Seconds per operation, timed over the values of perfbench's values pool on
 # a 2-CPU Intel Xeon with mpmath's pure-Python backend (their ratios are what
 # matter): one state's step in a shell build, the power of N that each
 # evaluated shell takes, and one sweep term (one of the N (distinct
-# exponents + 2r)).  The plan charges shell m of prefix j as j (m+1) steps,
-# as when each prefix had its own recursion; the shared recursion builds
-# shell m of every prefix in about r (m+1), so that charge is too high.  It
-# is kept so that the planned levels stay as they were.
+# exponents + 2r)).  The shared recursion builds shell m of every prefix
+# in about r (m+1) steps.
 SHELL_STEP_S, SHELL_EVAL_S, SWEEP_TERM_S = 8e-6, 40e-6, 10e-6
 
 
 def _planned_levels(s: Sequence, tails: _TailShells, target, cap: int) -> list[tuple[int, int]]:
     """The levels (N, K) whose estimates the shell norms predict to pass,
-    cheapest first; none when a shell meets a pole while they grow, which
-    the ladder then meets where it always did.
+    cheapest first.  A shell that meets a pole while they grow stops the
+    growth of K and raises its PoleProximityError when no level is planned
+    yet.
 
-    N runs over the ladder's N and K over its orders 4, 6, .., K_CAP.
+    N runs over 16 2^i up to the cap and K over 4, 6, .., K_CAP.
     Shell m of prefix j has size norm * N^(j-Re|s_1..s_j|-m) at N, so each
     prefix's estimate and growth test are known at every N once its shells
     are built.  Each suffix sum of the sweep is bounded by the product of
@@ -475,11 +462,12 @@ def _planned_levels(s: Sequence, tails: _TailShells, target, cap: int) -> list[t
     allows, so a predicted level fails only at a rounding's edge.  A level
     costs its sweep and the evaluation of its shells; K grows while a level
     of some higher order, its shells extrapolated from the last ones and
-    their building charged, is predicted to be cheaper than the best so far.
+    their building charged, is predicted to be cheaper than the best so far,
+    and while no level is planned.
     """
     r = len(s)
     log_target = float(mpmath.log(target))
-    ns = sorted({n for n, _ in _ladder(cap)})
+    ns = sorted({min(MIN_MAX_N << i, cap) for i in range(cap.bit_length())})
     sigmas = [float(to_mpc(x).real) for x in s]
     heads = [float(total.real) for total in tails.totals[1:]]
     distinct = len({to_mpc(x)._mpc_ for x in s})
@@ -515,8 +503,7 @@ def _planned_levels(s: Sequence, tails: _TailShells, target, cap: int) -> list[t
         """The cheapest (cost, N) predicted to pass at order K and to cost
         less than ``best``: N = 0 when none is, -1 when no N costs less."""
         cost = r * (k_order + 3) * SHELL_EVAL_S
-        for j, built in enumerate(logs, start=1):  # shell m of prefix j: j (m+1) steps
-            cost += j * sum(range(len(built) + 1, k_order + 4)) * SHELL_STEP_S
+        cost += r * sum(range(len(logs[0]) + 1, k_order + 4)) * SHELL_STEP_S
         if cost + at[0][2] >= best:
             return math.inf, -1
         window = [[log_norm(j, m) for m in range(k_order - 3, k_order + 3)] for j in range(r)]
@@ -534,7 +521,9 @@ def _planned_levels(s: Sequence, tails: _TailShells, target, cap: int) -> list[t
             for j in range(1, r + 1):
                 tails.grow(k_order + 2, j)
         except PoleProximityError:
-            return []
+            if candidates:
+                break
+            raise
         for row, log_norms in zip(tails.rows[1:], logs):
             for _, norm, _ in row[len(log_norms) :]:
                 log_norms.append(float(mpmath.log(norm)) if norm else -math.inf)
@@ -545,7 +534,7 @@ def _planned_levels(s: Sequence, tails: _TailShells, target, cap: int) -> list[t
         # grow while some higher order is predicted to be cheaper: look up to
         # the first that is, or the first whose shells alone cost more
         ahead = (cheapest(k, best)[1] for k in range(k_order + 2, K_CAP + 1, 2))
-        if next((n for n in ahead if n), 0) <= 0:
+        if candidates and next((n for n in ahead if n), 0) <= 0:
             break
     return [(n_level, k_order) for _, n_level, k_order in sorted(candidates)]
 
@@ -588,22 +577,12 @@ def _log_power_sum(sigma: float, low: int, high: int) -> float:
 def _value_level(s: Sequence, tails: _TailShells, n_level: int, k_order: int, target):
     """Truncation below N plus the prefix tails at order K: the value, its
     error estimate and the sum of the addends' sizes; None when the error
-    estimate is not below ``target``.  Strict tails start past N - 1, weak
-    ones at N.  A level that the shell norms fail evaluates no shell and
-    sweeps nothing."""
-    r = len(s)
+    estimate is not below ``target`` or a prefix's shells grow.
+    Strict tails start past N - 1, weak ones at N.  A level that the shell
+    norms fail evaluates no shell and sweeps nothing."""
     n_from = n_level if tails.star else n_level - 1
-    ests = []
     try:
-        # prefix by prefix: one whose shells grow stops the level before the
-        # deeper prefixes' poles are refused
-        for j in range(1, r + 1):
-            if j == r and any(est >= target for est in ests):
-                # the level fails whatever this tail's estimate: only refuse
-                # a pole among its shells, so that it stops the value here
-                tails.grow(k_order + 2, j)
-                return None
-            ests.append(tails.estimate(n_from, k_order, j))
+        ests = [tails.estimate(n_from, k_order, j) for j in range(1, len(s) + 1)]
     except TailNotConvergingError:
         return None
     # each estimate alone bounds the error below: sum shells and sweep only

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from mzeta import mzv, stieltjes
-from mzeta.config import to_mpc, to_mpf
+from mzeta.config import MIN_MAX_N, to_mpc, to_mpf
 from mzeta.errors import (
     PolarPointError,
     PoleProximityError,
@@ -596,6 +596,68 @@ def _assert_levels_replay(visited):
         assert outcome == old, (point, variant, n_level, k_order)
 
 
+# -- reference: the doubling ladder -------------------------------------------
+#
+# Before each value planned its level from the shell norms, it climbed a
+# doubling ladder of levels (N, K) and took the first that passed.  The
+# planned route must give the same values and refuse the same inputs.
+
+
+def _ladder(cap):
+    """The ladder's levels (N, K): N = 16, 32, .. up to the cap and K = 4,
+    6, .. up to K_CAP, both ending there."""
+    n_level, k_order = MIN_MAX_N, 4
+    while True:
+        yield n_level, k_order
+        if n_level >= cap and k_order >= K_CAP:
+            return
+        n_level, k_order = min(n_level * 2, cap), min(k_order + 2, K_CAP)
+
+
+def _ladder_value(s, digits, variant="strict"):
+    """The continued value and its estimate at the first level of the ladder
+    that passes, redone at the digits its addends' cancellation costs; then
+    the integral test, or the refusal."""
+    target = mp.mpf(10) ** (-(digits + 2))
+    dps = mzv.working_dps(digits)
+    with mp.workdps(dps):
+        tails = mzv._TailShells(s, variant)
+        for n_level, k_order in _ladder(mzv.max_n()):
+            level = mzv._value_level(s, tails, n_level, k_order, target)
+            if level is not None:
+                total, err, scale = level
+                lost = scale * mp.mpf(10) ** -dps / target
+                if lost > 1:
+                    with mp.workdps(dps + int(mp.ceil(mp.log10(lost)))):
+                        total = mzv._value_level(s, mzv._TailShells(s, variant), n_level, k_order, mp.inf)[0]
+                return +total, err
+        bounded = mzv._integral_test_value(s, target, variant == "star")
+        if bounded is None:
+            raise PrecisionUnreachableError(f"no level of the ladder reaches {digits} digits")
+        return bounded
+
+
+def _route_outcome(route, s, digits, variant):
+    """(mpc, the route's value), (PoleProximityError, its message) or
+    (PrecisionUnreachableError, None)."""
+    try:
+        return mp.mpc, route(s, digits, variant)[0]
+    except PoleProximityError as exc:
+        return type(exc), str(exc)
+    except PrecisionUnreachableError as exc:
+        return type(exc), None
+
+
+def _assert_same_outcome(got, expect, digits, where):
+    """The same refusal, or values within 10^-digits of each other."""
+    assert got[0] == expect[0], (where, got)
+    if expect[0] is mp.mpc:
+        with mp.workdps(digits + 20):
+            assert abs(got[1] - expect[1]) <= mp.mpf(10) ** -digits * max(1, abs(expect[1])), where
+    else:
+        assert got == expect, where
+
+
 def _value_replays(s, digits, monkeypatch, variant="strict"):
     """_continued_value's outcome, with every visited level replayed by the
     rebuilding level and the value traced back to its last passing one."""
@@ -640,31 +702,34 @@ class TestValueLadderOracle:
     @pytest.mark.parametrize("s, digits, variant", CANCELLING)
     def test_second_pass_matches_the_rebuilding_ladder(self, s, digits, variant, monkeypatch):
         # replay every level that the value visits, at the caller's
-        # precision, on the ladder alone and on the planned levels; one of
+        # precision, on the ladder oracle and on the planned levels; one of
         # them takes the cancellation guard's second pass, on the ladder
-        # always and under the plan but at (1/4, -5/2), whose planned level's
-        # smaller N spares it
-        spared = (s, digits) == ((Fraction(1, 4), Fraction(-5, 2)), 30)
-        for ladder_only in (True, False):
-            if ladder_only:
-                monkeypatch.setattr(mzv, "_planned_levels", lambda *args: [])
+        # always and under the plan but at (1/4, -5/2) and the three values
+        # planned at N = 16, whose smaller N spares it; both give the value
+        # to the digits asked for
+        spared = CANCELLING.index((s, digits, variant)) in (1, 4, 5, 7)
+        values = []
+        for route in (_ladder_value, mzv._continued_value):
             visited = _record_levels(monkeypatch)
-            zeta_value_with_error.cache.clear()
-            zeta_value_with_error(s, digits, variant)
+            values.append(route(s, digits, variant)[0])
             monkeypatch.undo()
             second_pass = any(record[4] == mp.inf for record in visited)
-            assert second_pass == (ladder_only or not spared)
+            assert second_pass == (route is _ladder_value or not spared)
             _assert_levels_replay(visited)
+        _assert_same_outcome((mp.mpc, values[1]), (mp.mpc, values[0]), digits, s)
 
     def test_pole_proximity_fires_at_the_same_level(self, monkeypatch):
         for s in [(1 + mp.mpf(10) ** -14, 2), (Fraction(1, 2), mp.mpf(-0.5) + mp.mpf(10) ** -14)]:
             for variant in ("strict", "star"):
                 new = _value_replays(s, 12, monkeypatch, variant)
                 assert new[0] is PoleProximityError
+                assert new == _route_outcome(_ladder_value, s, 12, variant)
 
     def test_each_shell_is_built_once_per_value(self, monkeypatch):
         s = (Fraction(-5, 2), Fraction(1, 3), Fraction(5, 2))
-        for ladder_only in (True, False):
+        values = []
+        for route in (_ladder_value, mzv._continued_value):
+            ladder_only = route is _ladder_value
             built, levels = {}, []
             add_shell, value_level = mzv._TailShells._add_shell, mzv._value_level
 
@@ -678,10 +743,7 @@ class TestValueLadderOracle:
 
             monkeypatch.setattr(mzv._TailShells, "_add_shell", counted)
             monkeypatch.setattr(mzv, "_value_level", level)
-            if ladder_only:
-                monkeypatch.setattr(mzv, "_planned_levels", lambda *args: [])
-            zeta_value_with_error.cache.clear()
-            zeta_value_with_error(s, 30)
+            values.append(route(s, 30, "strict")[0])
             monkeypatch.undo()
             # one recursion for all three prefixes; the second pass of the
             # cancellation guard builds its own
@@ -689,6 +751,7 @@ class TestValueLadderOracle:
             assert len(levels) > 2 or not ladder_only
             for shells in built.values():
                 assert shells == list(range(len(shells))) and len(shells) == max(levels) + 3
+        _assert_same_outcome((mp.mpc, values[1]), (mp.mpc, values[0]), 30, s)
 
     @pytest.mark.parametrize("star", [False, True])
     def test_one_tail_recursion_per_pass(self, star, monkeypatch):
@@ -723,6 +786,48 @@ class TestValueLadderOracle:
             assert made == [(len(s), variant)] * (2 if second else 1), s
             seen.add(second)
         assert seen == {False, True}
+
+
+# prefix sums 1e-11 off a pole, exponents down to -12, and a level that
+# passes at a fixed (N, K): the plan once gave up on these before it had a
+# level, and the ladder then climbed to N = 32768
+NEAR_POLAR = [
+    ((Fraction(199999999999, 10**11), -12, 0, -9, Fraction(-11, 2), Fraction(5, 2)), (1024, 40)),
+    ((-2, Fraction(299999999999, 10**11), -4, -10, 2, -3), (1024, 30)),
+]
+
+
+class TestNearPolarPlans:
+    @pytest.mark.parametrize("variant", ["strict", "star"])
+    @pytest.mark.parametrize("s, fixed", NEAR_POLAR)
+    def test_first_planned_level_passes(self, s, fixed, variant, monkeypatch):
+        visited = _record_levels(monkeypatch)
+        value = mzv._continued_value(s, 12, variant)[0]
+        monkeypatch.undo()
+        assert visited[0][-1] is not None
+        # the fixed level, redone at the digits its addends' cancellation costs
+        target, dps = mp.mpf(10) ** -14, mzv.working_dps(12)
+        with mp.workdps(dps):
+            scale = mzv._value_level(s, mzv._TailShells(s, variant), *fixed, target)[2]
+        with mp.workdps(dps + int(mp.ceil(mp.log10(scale * mp.mpf(10) ** -dps / target)))):
+            expect = mzv._value_level(s, mzv._TailShells(s, variant), *fixed, mp.inf)[0]
+        _assert_same_outcome((mp.mpc, value), (mp.mpc, expect), 12, (s, variant))
+
+    def test_polar_grid_matches_the_ladder(self):
+        # near-polar points of both variants: the planned route gives the
+        # ladder oracle's values and refusals; exponents stay >= -8, where
+        # the ladder does not climb far.  The values agree to 10 digits, not
+        # 12: both routes round s at the working precision, and a prefix sum
+        # 1e-11 off a pole magnifies that rounding about 1e11 times
+        points = [p for p in _polar_grid(random.Random(11)) if polar_description(p) is None]
+        points = [p for p in points if p and min(to_mpc(x).real for x in p) >= -8]
+        kinds = set()
+        for i, s in enumerate(points[::5]):
+            variant = "star" if i % 2 and len(s) > 1 else "strict"
+            expect = _route_outcome(_ladder_value, s, 12, variant)
+            _assert_same_outcome(_route_outcome(mzv._continued_value, s, 12, variant), expect, 10, (s, variant))
+            kinds.add((variant, expect[0]))
+        assert kinds >= {("strict", mp.mpc), ("star", mp.mpc), ("strict", PoleProximityError), ("star", PoleProximityError)}
 
 
 class TestShellNorms:
@@ -769,7 +874,7 @@ class TestShellNorms:
             with mp.workdps(60):
                 target = mp.mpf(10) ** -52
                 tails = mzv._TailShells(s, "strict")
-                for n_level, k_order in mzv._ladder(mzv.max_n()):
+                for n_level, k_order in _ladder(mzv.max_n()):
                     evaluated.clear()
                     swept.clear()
                     if mzv._value_level(s, tails, n_level, k_order, target) is not None:
