@@ -644,27 +644,6 @@ def zeta_tail_via_values(
     return tails[-1]
 
 
-def zeta_partial_derivative(
-    s: Sequence, order: Sequence[int], digits: int = 12
-) -> mpmath.mpc:
-    """Mixed partial derivative via central differences, Richardson once."""
-    order = tuple(int(k) for k in order)
-    if len(order) != len(s):
-        raise ValueError("order and argument depth mismatch")
-    k_total = sum(order)
-    if k_total == 0:
-        return zeta_value(s, digits)
-    inner_digits = digits + 2 * k_total + 6
-    with mp.workdps(working_dps(inner_digits)):
-        h = mp.mpf(10) ** (-mp.mpf(digits) / 3)
-        center = [to_mpc(x) for x in s]
-
-        def fn(pt):
-            return zeta_value(pt, inner_digits)
-
-        return richardson_partial(fn, center, order, h)[0]
-
-
 def richardson_partial(fn, center: list, order: tuple[int, ...], h) -> tuple[mpmath.mpc, mpmath.mpf]:
     """Mixed partial derivative of ``fn`` at ``center`` by nested central
     differences at steps h and h/2, Richardson-extrapolated once, and the

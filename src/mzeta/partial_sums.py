@@ -32,7 +32,7 @@ from .scale import INF, Cell, Coeff, ScaleSeries
 
 # A "cell map" represents a finite Q-combination sum c * (log t)^l t^-m
 # as {(m, l): c}, the cells of a ScaleSeries with rational coefficients; it
-# is the working form for derivatives/antiderivatives.
+# is the form of the antiderivatives (the derivatives run on int cell maps).
 CellMap = dict[Cell, Fraction]
 
 
@@ -48,14 +48,14 @@ class BasisTerm:
             raise ValueError("log power must be >= 0")
 
 
-def _derivative(cells: CellMap) -> CellMap:
-    out: CellMap = {}
+def _derivative(cells: dict[Cell, int]) -> dict[Cell, int]:
+    out: dict[Cell, int] = {}
     for (m, l), c in cells.items():
         if l:
             key = (m + 1, l - 1)
-            out[key] = out.get(key, Fraction(0)) + l * c
+            out[key] = out.get(key, 0) + l * c
         key = (m + 1, l)
-        out[key] = out.get(key, Fraction(0)) - m * c
+        out[key] = out.get(key, 0) - m * c
     return {k: v for k, v in out.items() if v}
 
 
@@ -73,7 +73,33 @@ def _antiderivative(l: int, m: int) -> CellMap:
     return out
 
 
-@memo(key=lambda term, precision: (term.l, term.m, precision))
+@memo(key=lambda l, m, precision: (l, m, precision))
+def _basis_rows(l: int, m: int, precision: int) -> tuple[tuple[tuple[Cell, int], ...], int, float]:
+    """The basis sum's sorted nonzero cells ((m', l'), numerator) over one
+    common denominator, the denominator, and the series precision."""
+    cells = _antiderivative(l, m)
+    cells[(m, l)] = cells.get((m, l), 0) - Fraction(1, 2)
+    h = _derivative({(m, l): 1})  # f^(2j-1), starting at j = 1
+    j = 1
+    while h and m + 2 * j - 1 <= precision:
+        b = bernoulli_ratios(2 * j)[-1]
+        for k, c in h.items():
+            cells[k] = cells.get(k, 0) + b * c
+        h = _derivative(_derivative(h))
+        j += 1
+    exact = not h
+    if l == 0 and m <= 0:
+        # The sum is a polynomial in N; pin the constant so that
+        # divergent(N) == u_N exactly.  At N = 1 the empty sum is 0 and
+        # every cell evaluates to its coefficient.
+        cells[(0, 0)] = cells.get((0, 0), 0) - sum(cells.values())
+        exact = True
+    prec = INF if exact and precision >= 0 else precision
+    kept = sorted((k, c) for k, c in cells.items() if c and k[0] <= prec)
+    den = math.lcm(*(c.denominator for _, c in kept))
+    return tuple((k, c.numerator * (den // c.denominator)) for k, c in kept), den, prec
+
+
 def sum_basis(term: BasisTerm, precision: int) -> ScaleSeries:
     """Divergent part of sum_{1<=n<N} (log n)^l n^-m to X-precision ``precision``.
 
@@ -81,36 +107,12 @@ def sum_basis(term: BasisTerm, precision: int) -> ScaleSeries:
     requested order.  For l = 0, m <= 0 the sum is an exact polynomial in N:
     its full rational constant is folded in, and for ``precision >= 0`` the
     series is exact (precision inf), equal to the partial sums for every N.
+
+    Built from the memoised integer rows that :func:`sum_sequence` reads:
+    one numerator per cell over the sum's common denominator.
     """
-    l, m = term.l, term.m
-    f: CellMap = {(m, l): Fraction(1)}
-    cells: CellMap = dict(_antiderivative(l, m))
-    for k, c in f.items():
-        cells[k] = cells.get(k, Fraction(0)) - c / 2
-
-    h = _derivative(f)  # f^(2j-1), starting at j = 1
-    j = 1
-    while h and m + 2 * j - 1 <= precision:
-        b = bernoulli_ratios(2 * j)[-1]
-        for k, c in h.items():
-            cells[k] = cells.get(k, Fraction(0)) + b * c
-        h = _derivative(_derivative(h))
-        j += 1
-
-    exact = not h
-    if l == 0 and m <= 0:
-        # The sum is a polynomial in N; pin the constant so that
-        # divergent(N) == u_N exactly.  At N = 1 the empty sum is 0 and
-        # every cell evaluates to its coefficient.
-        adjust = -sum(cells.values())
-        if adjust:
-            cells[(0, 0)] = cells.get((0, 0), Fraction(0)) + adjust
-        exact = True
-
-    return ScaleSeries.make(
-        {k: Coeff.rational(c) for k, c in cells.items()},
-        INF if exact and precision >= 0 else precision,
-    )
+    rows, den, prec = _basis_rows(term.l, term.m, precision)
+    return ScaleSeries.make({k: Coeff.rational(Fraction(n, den)) for k, n in rows}, prec)
 
 
 def sum_sequence(v: ScaleSeries, precision: int) -> ScaleSeries:
@@ -120,20 +122,36 @@ def sum_sequence(v: ScaleSeries, precision: int) -> ScaleSeries:
     the constant cell holds only the basis sums' rational constants.  The
     input must be known at least to X-precision ``precision + 1``.  The
     result is exact (precision inf) when ``v`` and every basis sum are.
+
+    Each product coefficient x basis cell is an integer over one common
+    denominator, lcm(input denominators) x lcm(basis denominators), summed
+    per (cell, atom); each output rational is reduced once, at the end.
     """
     if v.precision < precision + 1:
         raise InsufficientPrecisionError(
             f"summation to precision {precision} needs input precision "
             f">= {precision + 1}, got {v.precision}"
         )
-    cells: dict[Cell, Coeff] = {}
-    exact = v.precision == INF
-    for (m, l), coeff in v.terms:
-        base = sum_basis(BasisTerm(l, m), precision)
-        exact = exact and base.precision == INF
-        for k, b in base.terms:
-            c = coeff.scale(b.q)
-            cells[k] = cells[k] + c if k in cells else c
+    # each input cell's basis rows and its linear form, "" naming the rational part
+    bases = [(_basis_rows(l, m, precision), (("", c.q), *c.weights)) for (m, l), c in v.terms]
+    exact = v.precision == INF and all(prec == INF for (_, _, prec), _ in bases)
+    den_v = math.lcm(*(w.denominator for _, form in bases for _, w in form))
+    den_b = math.lcm(*(den for (_, den, _), _ in bases))
+    acc: dict[Cell, dict[str, int]] = {}
+    for (rows, den, _), form in bases:
+        ints = [(a, w.numerator * (den_v // w.denominator) * (den_b // den)) for a, w in form if w]
+        for k, b in rows:
+            cell = acc.setdefault(k, {})
+            for a, w in ints:
+                cell[a] = cell.get(a, 0) + w * b
+    den = den_v * den_b
+    cells = {
+        k: Coeff(
+            Fraction(cell.pop("", 0), den),
+            tuple((a, Fraction(n, den)) for a, n in sorted(cell.items()) if n),
+        )
+        for k, cell in acc.items()
+    }
     return ScaleSeries.make(cells, INF if exact else precision)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from helpers import zeta_partial_derivative
 from mzeta import harness, mzv, stieltjes
 
 FR = Fraction
@@ -136,7 +137,7 @@ class TestGenRegExp:
         with mp.workdps(30):
             for k, agrees in [(0, False), (1, False), (2, True), (3, True)]:
                 g = stieltjes.stieltjes_constant((-1,), (k,), 10).value
-                d = mzv.zeta_partial_derivative((-1,), (k,), 10)
+                d = zeta_partial_derivative((-1,), (k,), 10)
                 gap = abs((-1) ** k * g - d)
                 assert (gap < 1e-6) == agrees
 
@@ -152,7 +153,7 @@ class TestGenRegExp:
                 b_corr = bernoulli(n + 1, star=True) / factorial(n + 1)
                 for k in range(n + 1):
                     g = stieltjes.stieltjes_constant((-n,), (k,), 10).value
-                    d = mzv.zeta_partial_derivative((-n,), (k,), 10)
+                    d = zeta_partial_derivative((-n,), (k,), 10)
                     taylor = d / factorial(k)
                     expect = (-1) ** k * g / factorial(k) + stirling_first(
                         n + 1, k + 1

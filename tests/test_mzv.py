@@ -6,6 +6,7 @@ from math import comb, factorial, prod
 import pytest
 from mpmath import mp
 
+from helpers import zeta_partial_derivative
 from mzeta import mzv, stieltjes
 from mzeta.config import MIN_MAX_N, to_mpc, to_mpf
 from mzeta.errors import (
@@ -22,7 +23,6 @@ from mzeta.mzv import (
     nested_sums,
     polar_description,
     reg_via_tails,
-    zeta_partial_derivative,
     zeta_tail,
     zeta_tail_via_values,
     zeta_truncated,

@@ -6,10 +6,14 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from mzeta.errors import InsufficientPrecisionError
+from helpers import symbolic_points
+from mzeta import stieltjes
 from mzeta.config import to_mpf
+from mzeta.errors import InsufficientPrecisionError
+from mzeta.exact import bernoulli_ratios
 from mzeta.partial_sums import (
     BasisTerm,
+    _antiderivative,
     em_slot_name,
     known_closed_form,
     schedule_n,
@@ -110,6 +114,109 @@ class TestSumSequence:
                 continue
             res = sum_sequence(v, 2)
             assert res.is_zero or res.order() >= min(0, v.order() - 1)
+
+
+# -- oracles: the Fraction kernels that the integer rows replaced -----------
+
+
+def _fraction_derivative(cells):
+    out = {}
+    for (m, l), c in cells.items():
+        if l:
+            key = (m + 1, l - 1)
+            out[key] = out.get(key, FR(0)) + l * c
+        key = (m + 1, l)
+        out[key] = out.get(key, FR(0)) - m * c
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_sum_basis(l, m, precision):
+    f = {(m, l): FR(1)}
+    cells = dict(_antiderivative(l, m))
+    for k, c in f.items():
+        cells[k] = cells.get(k, FR(0)) - c / 2
+    h = _fraction_derivative(f)
+    j = 1
+    while h and m + 2 * j - 1 <= precision:
+        b = bernoulli_ratios(2 * j)[-1]
+        for k, c in h.items():
+            cells[k] = cells.get(k, FR(0)) + b * c
+        h = _fraction_derivative(_fraction_derivative(h))
+        j += 1
+    exact = not h
+    if l == 0 and m <= 0:
+        adjust = -sum(cells.values())
+        if adjust:
+            cells[(0, 0)] = cells.get((0, 0), FR(0)) + adjust
+        exact = True
+    return ScaleSeries.make(
+        {k: Coeff.rational(c) for k, c in cells.items()},
+        INF if exact and precision >= 0 else precision,
+    )
+
+
+def _oracle_sum_sequence(v, precision):
+    # one Coeff.scale and one Coeff.__add__ per (input cell, basis cell)
+    cells = {}
+    exact = v.precision == INF
+    for (m, l), coeff in v.terms:
+        base = _oracle_sum_basis(l, m, precision)
+        exact = exact and base.precision == INF
+        for k, b in base.terms:
+            c = coeff.scale(b.q)
+            cells[k] = cells[k] + c if k in cells else c
+    return ScaleSeries.make(cells, INF if exact else precision)
+
+
+def _assert_same_series(got, want):
+    assert got.precision == want.precision
+    assert got.terms == want.terms
+    for (_, got_c), (_, want_c) in zip(got.terms, want.terms):
+        # == takes an int for the Fraction it equals; the reprs tell them apart
+        assert repr(got_c) == repr(want_c)
+
+
+class TestIntegerKernelOracle:
+    def test_sum_basis_matches_fraction_kernel(self):
+        for l in range(6):
+            for m in range(-4, 7):
+                for precision in (0, 4, 8, 14, 20, 38):
+                    got = sum_basis(BasisTerm(l, m), precision)
+                    _assert_same_series(got, _oracle_sum_basis(l, m, precision))
+
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    def test_sum_sequence_matches_per_cell_loop(self, star):
+        # the shifted inner series asymptotic_expansion feeds sum_sequence at
+        # the points of the symbolic digest (tests/test_scale.py)
+        with_atoms = 0
+        for point, order in symbolic_points():
+            for prec in (0, 4, 8, 14, 20):
+                inner = stieltjes.asymptotic_expansion(point[1:], order[1:], prec + 1 - point[0], star)
+                v = inner.shift(order[0], point[0])
+                with_atoms += bool(v.atoms())
+                _assert_same_series(sum_sequence(v, prec), _oracle_sum_sequence(v, prec))
+        assert with_atoms > 100
+
+    def test_cells_that_cancel_are_dropped(self):
+        # the (1, 0) cell is -1/2 * 1 from H_N and -1 * (-1/2) from sum n^-2,
+        # for the rational part and for the atom weight alike
+        v = ScaleSeries.make(
+            {
+                (1, 0): Coeff(FR(1), (("g(1|0)", FR(2)),)),
+                (2, 0): Coeff(FR(-1, 2), (("g(1|0)", FR(-1)),)),
+            },
+            INF,
+        )
+        got = sum_sequence(v, 4)
+        _assert_same_series(got, _oracle_sum_sequence(v, 4))
+        assert got.cell(1, 0).is_zero
+        assert not got.cell(2, 0).is_zero
+
+    def test_exact_input(self):
+        v = ScaleSeries.make({(-1, 0): Coeff.rational(FR(2, 3)), (-3, 0): Coeff.atom("g(2|0)", FR(-5, 7))}, INF)
+        got = sum_sequence(v, 0)
+        assert got.precision == INF
+        _assert_same_series(got, _oracle_sum_sequence(v, 0))
 
 
 # (l, m) of the basis sums (log n)^l n^-m with a closed-form constant;

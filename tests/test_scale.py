@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from helpers import symbolic_points
 from mzeta import stieltjes
 from mzeta.errors import UnresolvedConstantError
 from mzeta.partial_sums import abs_cell_magnitude
@@ -156,12 +157,8 @@ def test_high_precision_evaluate_uses_mpf():
 SYMBOLIC_DIGEST = "64fed5473ac3bc684c028cd0930923e46602c468fd76234cccd05f76ef1f9a2e"
 
 
-def _symbolic_records(n_pairs=40, seed=6):
-    rng = random.Random(seed)
-    for _ in range(n_pairs):
-        depth = rng.randint(1, 3)
-        point = tuple(rng.randint(-2, 3) for _ in range(depth))
-        order = tuple(rng.randint(0, 2) for _ in range(depth))
+def _symbolic_records(seed=6):
+    for point, order in symbolic_points(seed=seed):
         for star in (False, True):
             for prec in (0, 4, 8, 14, 20):
                 e = stieltjes.asymptotic_expansion(point, order, prec, star)
