@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`mzeta.exact` -- exact rational arithmetic, Bernoulli/Stirling tables,
-  Pochhammer polynomials.
+- :mod:`mzeta.exact` -- exact rational arithmetic, Bernoulli tables, weak
+  compositions.
 - :mod:`mzeta.scale` -- truncated Laurent series in 1/N and log N whose
   coefficients are linear in tagged transcendental constants.
 - :mod:`mzeta.partial_sums` -- Euler-Maclaurin summation of scale sequences.
@@ -20,15 +20,12 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .exact import bernoulli, pochhammer, rising, stirling_first
+from .exact import bernoulli
 from .scale import Coeff, ScaleSeries
 
 __all__ = [
     "__version__",
     "bernoulli",
-    "pochhammer",
-    "rising",
-    "stirling_first",
     "Coeff",
     "ScaleSeries",
 ]

@@ -111,64 +111,78 @@ def polar_description(s: Sequence) -> str | None:
 
 
 def nested_sums(
-    s: Sequence, tops: Sequence[int], order: Sequence[int] | None = None, star: bool = False
-) -> tuple[list, list]:
+    s: Sequence, tops: Sequence[int], orders: Sequence[Sequence[int]] | None = None, star: bool = False
+) -> tuple[list, list] | list[tuple[list, list]]:
     """Nested sums of prod_j n_j^-s_j log^k_j(n_j) at several tops, and of
-    every suffix of s, from one sweep over n in O(depth) memory.
+    every suffix of s, from one sweep over n in O(depth) memory per order.
 
     Strict sums run over n1 > ... > nr > 0, star sums over n1 >= ... >= nr >= 1,
-    and a top T bounds n1 < T.  At each n every level's running sum advances,
-    innermost first: level j adds n^-s_j log^k_j(n) times level j+1's sum
-    below n (strict) or up to n (star).  With ``order`` the s_j are integers
-    and the sums are real (mpf); without it they may be complex, with no log
-    factors (mpc).  Each step is the mpmath call that the level-by-level
-    recursion makes, at the ambient precision and in the same order, so the
-    sums are bit-for-bit that recursion's.
+    and a top T bounds n1 < T.  At each n every level's running sum advances:
+    level j adds n^-s_j log^k_j(n) times level j+1's sum below n (strict)
+    or up to n (star).  With ``orders``, a block of order tuples (k_1..k_r)
+    at the integer point s, the sums are real (mpf): each n computes log n
+    and each weight n^-a log^k n once for the whole block, and orders that
+    share a suffix share its running sum.  Without it s may be complex, with
+    no log factors (mpc).  Each step is the mpmath call that the
+    level-by-level recursion makes, at the ambient precision, so the sums
+    are bit-for-bit that recursion's, whatever block an order sweeps in.
 
-    Returns ``(at_tops, levels)``: the sum over n1 < T for each T in
-    ``tops``, and the sum of each suffix s[j:] below max(tops), ending with
-    1 for the empty suffix.
+    Returns ``(at_tops, levels)`` per order (one pair without ``orders``):
+    the sum over n1 < T for each T in ``tops``, and the sum of each suffix
+    s[j:] below max(tops), ending with 1 for the empty suffix.
     """
     if min(tops) < 1:
         raise ValueError("n_top must be >= 1")
     prec, rnd = mp._prec_rounding
-    real = order is not None
+    real = orders is not None
     if real:
         zero, one, add, mul, make = fzero, fone, mpf_add, mpf_mul, mp.make_mpf
-        kinds = [(int(a), int(k)) for a, k in zip(s, order)]
+        chains = [tuple(zip(map(int, s), map(int, ks))) for ks in orders]
     else:
         zero, one, add, mul, make = mpc_zero, mpc_one, mpc_add, mpc_mul, mp.make_mpc
-        kinds = [(-to_mpc(x))._mpc_ for x in s]
-    distinct = list(dict.fromkeys(kinds))  # equal levels share one weight per n
-    slots = [distinct.index(kind) for kind in kinds]
-    with_log = real and any(k for _, k in distinct)
+        chains = [tuple((-to_mpc(x))._mpc_ for x in s)]
+    # one running sum per distinct suffix, each after the suffix it reads
+    nodes: dict[tuple, int] = {}
+    for chain in chains:
+        for j in range(len(chain) - 1, -1, -1):
+            nodes.setdefault(chain[j:], len(nodes))
+    kinds = list(dict.fromkeys(suffix[0] for suffix in nodes))  # one weight per n each
+    plan = [(i, kinds.index(suffix[0]), nodes.get(suffix[1:], -1)) for suffix, i in nodes.items()]
+    # a star level reads its inner sum up to n, so inner sums advance
+    # first; a strict level reads it below n, so outer sums do
+    sweep = plan if star else plan[::-1]
+    exps = list(dict.fromkeys(a for a, _ in kinds)) if real else []
+    degrees = sorted({k for _, k in kinds if k}) if real else []
 
     def weights(n: int) -> list:
         x = from_int(n)
         if not real:
-            return [mpc_pow((x, fzero), e, prec, rnd) for e in distinct]
-        log_n = mpf_log(x, prec, rnd) if with_log else None
-        out = []
-        for a, k in distinct:
-            w = mpf_pow_int(x, -a, prec, rnd)
-            out.append(mpf_mul(w, mpf_pow_int(log_n, k, prec, rnd), prec, rnd) if k else w)
-        return out
+            return [mpc_pow((x, fzero), e, prec, rnd) for e in kinds]
+        powers = {a: mpf_pow_int(x, -a, prec, rnd) for a in exps}
+        if degrees:
+            log_n = mpf_log(x, prec, rnd)
+            logs = {k: mpf_pow_int(log_n, k, prec, rnd) for k in degrees}
+        return [mpf_mul(powers[a], logs[k], prec, rnd) if k else powers[a] for a, k in kinds]
 
-    acc = [zero] * len(kinds) + [one]  # acc[j]: running sum of the suffix s[j:]
+    acc = [zero] * len(plan)
+
+    def value(suffix: tuple):
+        return acc[nodes[suffix]] if suffix else one
+
     reached, n_from = {}, 1
     for top in sorted(set(tops)):
         for n in range(n_from, top):
             ws = weights(n)
-            inner = None
-            for j in range(len(slots) - 1, -1, -1):
-                w = ws[slots[j]]
-                t = w if inner is None else mul(w, inner, prec, rnd)
-                old = acc[j]
-                acc[j] = add(old, t, prec, rnd)
-                inner = acc[j] if star else old
+            for i, slot, inner in sweep:
+                w = ws[slot]
+                acc[i] = add(acc[i], w if inner < 0 else mul(w, acc[inner], prec, rnd), prec, rnd)
         n_from = top
-        reached[top] = acc[0]
-    return [make(reached[top]) for top in tops], [make(v) for v in acc]
+        reached[top] = [value(chain) for chain in chains]
+    pairs = [
+        ([make(reached[top][c]) for top in tops], [make(value(chain[j:])) for j in range(len(chain) + 1)])
+        for c, chain in enumerate(chains)
+    ]
+    return pairs if real else pairs[0]
 
 
 def zeta_truncated(s: Sequence, n_top: int, variant: str = "strict") -> mpmath.mpc:

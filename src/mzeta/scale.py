@@ -14,7 +14,7 @@ Every coefficient is linear in the named transcendental constants ("atoms",
 the Stieltjes constants ``g(..)``/``gs(..)``): a :class:`Coeff` is a
 rational number plus rational weights of atoms.  Tagging the
 transcendental part this way keeps the rational bookkeeping exact; a
-coefficient only turns into a float when a resolution map name -> value is
+coefficient only turns into a number when a map name -> raw mpf value is
 supplied.
 """
 
@@ -23,7 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
+
+from mpmath.libmp import from_int, from_rational, fzero, mpf_add, mpf_log, mpf_mul, mpf_pow_int
 
 from .errors import UnresolvedConstantError
 
@@ -81,19 +83,21 @@ class Coeff:
             return COEFF_ZERO
         return Coeff(self.q * q, tuple((a, w * q) for a, w in self.weights))
 
-    def resolve(self, values: Mapping[str, object] | None = None):
-        """Numeric (or exact, if purely rational) value of the coefficient:
-        the rational part first, then each weighted atom in name order."""
-        if not self.weights:
-            return self.q
-        if values is None:
-            raise UnresolvedConstantError(f"unresolved constants: {sorted(self.atoms())}")
-        total = self.q if self.q else 0
+    def resolve(self, values: Mapping[str, tuple], prec: int, rnd: str) -> tuple:
+        """Raw mpf of the coefficient from raw atom values, with the steps of
+        mpf arithmetic on its Fractions: the rational part first, then each
+        weighted atom in name order.  A Fraction converts as mpmath converts
+        it, rounded by ``from_rational``'s default and not by ``rnd``."""
+        total = _raw(self.q, prec)
         for name, w in self.weights:
             if name not in values:
                 raise UnresolvedConstantError(f"unresolved constant: {name}")
-            total = total + w * values[name]
+            total = mpf_add(total, mpf_mul(values[name], _raw(w, prec), prec, rnd), prec, rnd)
         return total
+
+
+def _raw(q: Fraction, prec: int) -> tuple:
+    return from_rational(q.numerator, q.denominator, prec)
 
 
 COEFF_ZERO = Coeff(Fraction(0))
@@ -184,7 +188,7 @@ class ScaleSeries:
     def truncated(self, precision: float) -> "ScaleSeries":
         if precision >= self.precision:
             return self
-        return ScaleSeries.make(dict(self.terms), precision)
+        return ScaleSeries(tuple(t for t in self.terms if t[0][0] <= precision), precision)
 
     def with_constant_cell(self, c: Coeff) -> "ScaleSeries":
         """Replace the L^0 X^0 coefficient by ``c``."""
@@ -193,22 +197,30 @@ class ScaleSeries:
         return ScaleSeries.make(cells, self.precision)
 
     def drop_constant_cell(self) -> "ScaleSeries":
-        return self.with_constant_cell(COEFF_ZERO)
+        return ScaleSeries(tuple(t for t in self.terms if t[0] != (0, 0)), self.precision)
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, n, log_n=None, values: Mapping[str, object] | None = None):
-        """Numeric sum of all known cells at N = n (L = log n).
+    def evaluate(self, tops: Sequence[int], values: Mapping[str, tuple], prec: int, rnd: str) -> list[tuple]:
+        """Raw mpf sums of all known cells at each N in ``tops`` (L = log N),
+        at precision ``prec`` and rounding ``rnd``, from raw atom values.
 
-        Horner in L over each dense row, zero coefficients included, so the
-        rounding is that of the dense polynomial.
+        Each cell resolves once for every N.  Horner in L runs over each
+        dense row, zero coefficients included, so the rounding is that of
+        the dense polynomial; the rows add up lowest m first.
         """
-        if log_n is None:
-            log_n = math.log(n)
-        total = 0
-        for m, row in self._rows().items():
-            acc = 0
-            for c in reversed(row):
-                acc = acc * log_n + c.resolve(values)
-            total = total + acc * n ** (-m)
-        return total
+        rows = [
+            (m, [c.resolve(values, prec, rnd) for c in reversed(row)]) for m, row in self._rows().items()
+        ]
+        out = []
+        for n in tops:
+            x = from_int(n)
+            log_n = mpf_log(x, prec, rnd)
+            total = fzero
+            for m, row in rows:
+                acc = fzero
+                for c in row:
+                    acc = mpf_add(mpf_mul(acc, log_n, prec, rnd), c, prec, rnd)
+                total = mpf_add(total, mpf_mul(acc, mpf_pow_int(x, -m, prec, rnd), prec, rnd), prec, rnd)
+            out.append(total)
+        return out

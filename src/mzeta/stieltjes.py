@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import mpf_sub
 
 from . import mzv
 from .config import check_depth, max_n, memo, to_mpc, to_mpf
@@ -146,7 +147,7 @@ def truncated_log_sum(
     O(depth) memory.
     """
     point, order = _point_order(point, order)
-    return mzv.nested_sums(point, (n_top,), order, star)[0][0]
+    return mzv.nested_sums(point, (n_top,), [order], star)[0][0][0]
 
 
 # -- numeric resolution ------------------------------------------------------
@@ -168,13 +169,13 @@ def resolve_atom(name: str, digits: int) -> mpmath.mpf:
     return value
 
 
-def _resolve_series_atoms(series: ScaleSeries, digits: int) -> dict[str, mpmath.mpf]:
+def _resolve_series_atoms(series: ScaleSeries, digits: int) -> dict[str, tuple]:
     # deepest first, then by name, whatever the string hashing: a shallower
     # atom that a deeper one resolves on the way, at more digits, is reused
     def deepest_first(name: str) -> tuple[int, str]:
         return -len(parse_gamma_atom(name)[0]), name
 
-    return {name: resolve_atom(name, digits) for name in sorted(series.atoms(), key=deepest_first)}
+    return {name: resolve_atom(name, digits)._mpf_ for name in sorted(series.atoms(), key=deepest_first)}
 
 
 def _exact_constant(point: IntPoint, order: OrderIndex, star: bool) -> Fraction | None:
@@ -192,41 +193,88 @@ def _exact_constant(point: IntPoint, order: OrderIndex, star: bool) -> Fraction 
 def _constant_by_extrapolation(
     point: IntPoint, order: OrderIndex, star: bool, digits: int
 ) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """Regularised value and error estimate: u_N less its expansion truncated
-    before the first cell below target, at N and 2N, from N = schedule_n."""
-    exact = _exact_constant(point, order, star)
-    if exact is not None:
-        with mp.workdps(digits + 15):
-            return to_mpf(exact), mp.zero
+    """Regularised value and error estimate of one constant: a block of one."""
+    return next(_constants_by_extrapolation(point, [order], star, digits))
+
+
+def _constants_by_extrapolation(
+    point: IntPoint, orders: Sequence[OrderIndex], star: bool, digits: int
+) -> Iterator[tuple[mpmath.mpf, mpmath.mpf]]:
+    """Regularised value and error estimate of each order at the point, in
+    turn: u_N less its expansion truncated before the first cell below
+    target, at N and 2N, from N = schedule_n, doubling N until they agree.
+
+    Every order's first level is planned before any runs.  Orders whose
+    first levels share (N, dps), and N is the same for all, take u_N and
+    u_2N from one block sweep, made when the first of them needs it; later
+    levels sweep alone.  Atoms resolve order by order, as for lone constants.
+    """
     target = 0.25 * 10.0 ** (-(digits + 2))
-    n_top = schedule_n(digits)
-    while True:
-        series = _truncated_expansion(point, order, star, n_top, target)
-        if series is not None:
-            # guard digits for the cancellation u_N - divergent(N); both the
-            # N-growth of negative orders and the log-power growth count
-            max_deg = max((l for (_, l), _ in series.terms), default=0)
-            extra = max(0.0, -series.order() * math.log10(n_top))
-            extra += max_deg * math.log10(math.log(n_top))
-            dps = digits + 15 + int(extra)
-            values = _resolve_series_atoms(series, digits + 8 + int(extra))
-            with mp.workdps(dps):
-                tops = (n_top, 2 * n_top)
-                # a star sum includes its top index: u_N sums n1 < N+1
-                sums = mzv.nested_sums(point, [n + int(star) for n in tops], order, star)[0]
-                vals = [
-                    u - series.evaluate(mp.mpf(n), log_n=mp.ln(n), values=values)
-                    for n, u in zip(tops, sums)
-                ]
-                err = abs(vals[1] - vals[0])
-                if err <= mpmath.mpf(10) ** (-digits):
-                    return vals[1], err
-        if 4 * n_top > max_n():
-            raise PrecisionUnreachableError(
-                f"{gamma_atom(point, order, star)} did not stabilise to "
-                f"{digits} digits by N={2 * n_top}"
-            )
-        n_top *= 2
+    n_first = schedule_n(digits)
+    exacts = [_exact_constant(point, ks, star) for ks in orders]
+    firsts = [
+        None if q is not None else _level(point, ks, star, n_first, target)
+        for ks, q in zip(orders, exacts)
+    ]
+    # orders whose first levels share (N, dps): N and digits are the same for all
+    groups: dict[int, list[OrderIndex]] = {}
+    for ks, level in zip(orders, firsts):
+        if level is not None:
+            groups.setdefault(level[1], []).append(ks)
+    swept: dict[int, dict[OrderIndex, list]] = {}
+    for order, exact, level in zip(orders, exacts, firsts):
+        if exact is not None:
+            with mp.workdps(digits + 15):
+                value = to_mpf(exact)
+            yield value, mp.zero
+            continue
+        n_top = n_first
+        while True:
+            if level is not None:
+                series, extra = level
+                values = _resolve_series_atoms(series, digits + extra - 7)
+                with mp.workdps(digits + extra):
+                    prec, rnd = mp._prec_rounding
+                    tops = (n_top, 2 * n_top)
+                    # a star sum includes its top index: u_N sums n1 < N+1
+                    sum_tops = [n + star for n in tops]
+                    if n_top != n_first:
+                        sums = mzv.nested_sums(point, sum_tops, [order], star)[0][0]
+                    else:
+                        if extra not in swept:
+                            block = groups[extra]
+                            sweep = mzv.nested_sums(point, sum_tops, block, star)
+                            swept[extra] = {ks: at_tops for ks, (at_tops, _) in zip(block, sweep)}
+                        sums = swept[extra][order]
+                    divergent = series.evaluate(tops, values, prec, rnd)
+                    u_n, u_2n = (mp.make_mpf(mpf_sub(u._mpf_, d, prec, rnd)) for u, d in zip(sums, divergent))
+                    err = abs(u_2n - u_n)
+                    if err <= mpmath.mpf(10) ** (-digits):
+                        break
+            if 4 * n_top > max_n():
+                raise PrecisionUnreachableError(
+                    f"{gamma_atom(point, order, star)} did not stabilise to "
+                    f"{digits} digits by N={2 * n_top}"
+                )
+            n_top *= 2
+            level = _level(point, order, star, n_top, target)
+        yield u_2n, err
+
+
+def _level(
+    point: IntPoint, order: OrderIndex, star: bool, n_top: int, target: float
+) -> tuple[ScaleSeries, int] | None:
+    """The truncated expansion at N = ``n_top`` and the working digits on
+    top of the target's (atoms get 7 fewer); None when no cut reaches target."""
+    series = _truncated_expansion(point, order, star, n_top, target)
+    if series is None:
+        return None
+    # guard digits for the cancellation u_N - divergent(N); both the
+    # N-growth of negative orders and the log-power growth count
+    max_deg = max((l for (_, l), _ in series.terms), default=0)
+    extra = max(0.0, -series.order() * math.log10(n_top))
+    extra += max_deg * math.log10(math.log(n_top))
+    return series, 15 + int(extra)
 
 
 def _truncated_expansion(
@@ -398,10 +446,10 @@ def reg_series(
     if degree < 0:
         raise ValueError("degree must be >= 0")
     coeffs: dict[OrderIndex, mpmath.mpf] = {}
-    for ks in iter_orders(len(center), degree):
-        gamma = stieltjes_constant(center, ks, digits, star)
+    orders = list(iter_orders(len(center), degree))
+    for ks, (gamma, _) in zip(orders, _constants_by_extrapolation(center, orders, star, digits)):
         weight = Fraction((-1) ** sum(ks), math.prod(factorial(k) for k in ks))
-        coeffs[ks] = to_mpf(weight) * gamma.value
+        coeffs[ks] = to_mpf(weight) * gamma
     return RegSeries(center, degree, star, digits, coeffs)
 
 

@@ -7,15 +7,10 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
+from helpers import pochhammer, rising, stirling_first
 from mzeta import exact
-from mzeta.exact import (
-    bernoulli,
-    bernoulli_ratios,
-    compositions,
-    pochhammer,
-    rising,
-    stirling_first,
-)
+from mzeta.exact import bernoulli, bernoulli_ratios, compositions
 
 
 def poly_mul(a, b):
@@ -153,7 +148,7 @@ def test_tables_are_safe_under_concurrent_growth():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            exact._stirling_row.cache.clear()
+            helpers._stirling_row.cache.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 again = list(pool.map(lambda n: stirling_first(n, n // 2), range(2, 60)))
             assert again == stir
@@ -221,7 +216,7 @@ class TestTableOracle:
             assert all(type(c) is Fraction for c in poly.coeffs)
 
     def test_cold_tables_fill_without_deep_recursion(self):
-        memos = (bernoulli, exact._bernoulli_ratio, bernoulli_ratios, exact._stirling_row)
+        memos = (bernoulli, exact._bernoulli_ratio, bernoulli_ratios, helpers._stirling_row)
         for fn in memos:
             fn.cache.clear()
         try:
@@ -240,16 +235,16 @@ class TestTableOracle:
                 fn.cache.clear()
 
     def test_cold_stirling_row_memoises_only_the_rows_asked_for(self):
-        exact._stirling_row.cache.clear()
+        helpers._stirling_row.cache.clear()
         try:
             assert stirling_first(1100, 550) != 0
-            assert set(exact._stirling_row.cache) == {1100}
+            assert set(helpers._stirling_row.cache) == {1100}
             # a lower row starts from scratch, a higher one from row 1100
             assert stirling_first(40, 3) == _old_stirling_table(40)[40][3]
             assert stirling_first(1102, 1101) == -comb(1102, 2)
-            assert set(exact._stirling_row.cache) == {40, 1100, 1102}
+            assert set(helpers._stirling_row.cache) == {40, 1100, 1102}
         finally:
-            exact._stirling_row.cache.clear()
+            helpers._stirling_row.cache.clear()
 
 
 class TestCompositions:

@@ -146,7 +146,8 @@ class TestGenRegExp:
         # Stirling-weighted Bernoulli correction for k <= n
         from math import factorial
 
-        from mzeta.exact import bernoulli, stirling_first
+        from helpers import stirling_first
+        from mzeta.exact import bernoulli
 
         with mp.workdps(30):
             for n in (1, 2):

@@ -6,7 +6,7 @@ from math import comb, factorial, prod
 import pytest
 from mpmath import mp
 
-from helpers import zeta_partial_derivative
+from helpers import rising, zeta_partial_derivative
 from mzeta import mzv, stieltjes
 from mzeta.config import MIN_MAX_N, to_mpc, to_mpf
 from mzeta.errors import (
@@ -15,7 +15,7 @@ from mzeta.errors import (
     PrecisionUnreachableError,
     TailNotConvergingError,
 )
-from mzeta.exact import bernoulli, bernoulli_ratios, rising
+from mzeta.exact import bernoulli, bernoulli_ratios
 from mzeta.mzv import (
     K_CAP,
     POLE_TOL,
@@ -1150,13 +1150,33 @@ class TestNestedSumOracle:
             order = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(depth))
             tops, star = _random_tops(rng), rng.random() < 0.5
             with mp.workdps(rng.choice((15, 27, 45, 60))):
-                at_tops, levels = mzv.nested_sums(point, tops, order, star)
+                at_tops, levels = mzv.nested_sums(point, tops, [order], star)[0]
                 for top, got in zip(tops, at_tops):
                     want = _levelwise_log_sum(point, order, top, star)
                     assert got._mpf_ == want._mpf_, (point, order, top, star)
                 for j, got in enumerate(levels):
                     want = _levelwise_log_sum(point[j:], order[j:], max(tops), star)
                     assert got._mpf_ == want._mpf_, (point, order, j, star)
+
+    def test_block_sweeps_match_one_order_sweeps(self):
+        # orders of one point share weights and suffix sums in a block: each
+        # order's sums must be those of its own sweep, bit for bit
+        rng = random.Random(20190215)
+        for _ in range(150):
+            depth = rng.randint(1, 4)
+            point = tuple(rng.randint(-3, 4) for _ in range(depth))
+            orders = [
+                tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(depth))
+                for _ in range(rng.randint(1, 12))
+            ]
+            tops, star = _random_tops(rng), rng.random() < 0.5
+            with mp.workdps(rng.choice((15, 27, 45, 60))):
+                block = mzv.nested_sums(point, tops, orders, star)
+                assert len(block) == len(orders)
+                for order, (at_tops, levels) in zip(orders, block):
+                    alone_tops, alone_levels = mzv.nested_sums(point, tops, [order], star)[0]
+                    assert [v._mpf_ for v in at_tops] == [v._mpf_ for v in alone_tops], (point, order)
+                    assert [v._mpf_ for v in levels] == [v._mpf_ for v in alone_levels], (point, order)
 
     def test_complex_sums_match_levelwise_recursion(self):
         rng = random.Random(20190214)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from helpers import symbolic_points
+from helpers import evaluate, resolve, symbolic_points
 from mzeta import stieltjes
 from mzeta.errors import UnresolvedConstantError
 from mzeta.partial_sums import abs_cell_magnitude
@@ -77,13 +77,13 @@ class TestOperations:
         c = Coeff.rational(Fraction(1, 4)) + Coeff.atom("g(1|0)")
         f = mono(1, l=1) + ScaleSeries.monomial(c)
         with pytest.raises(UnresolvedConstantError):
-            c.resolve()
+            resolve(c)
         with pytest.raises(UnresolvedConstantError):
-            c.resolve({"g(2|0)": 0.5})
+            resolve(c, {"g(2|0)": 0.5})
         with pytest.raises(UnresolvedConstantError):
-            f.evaluate(2.0)
-        assert c.resolve({"g(1|0)": 0.5}) == 0.75
-        assert f.evaluate(1.0, log_n=0.0, values={"g(1|0)": 0.5}) == 0.75
+            evaluate(f, 2.0)
+        assert resolve(c, {"g(1|0)": 0.5}) == 0.75
+        assert evaluate(f, 1.0, log_n=0.0, values={"g(1|0)": 0.5}) == 0.75
 
     def test_order(self):
         assert (mono(1, m=-1) - ScaleSeries.one()).order() == -1
@@ -118,7 +118,7 @@ def test_float_evaluation_matches_termwise():
     for n in (10, 100, 1000):
         for _ in range(20):
             f = random_series(rng)
-            direct = f.evaluate(float(n))
+            direct = evaluate(f, float(n))
             termwise = 0.0
             count = 0
             for (m, l), c in f.terms:
@@ -135,7 +135,7 @@ def test_evaluate_runs_dense_horner_in_l():
     with mp.workdps(30):
         n = mp.mpf(17)
         log_n = mp.ln(n)
-        got = f.evaluate(n, log_n=log_n)
+        got = mp.make_mpf(f.evaluate([17], {}, *mp._prec_rounding)[0])
         dense = ((c2 * log_n + 0) * log_n + c0) * n**-m
         sparse = (c2 * log_n**2 + c0) * n**-m
     assert got._mpf_ == dense._mpf_
@@ -145,8 +145,70 @@ def test_evaluate_runs_dense_horner_in_l():
 def test_high_precision_evaluate_uses_mpf():
     f = mono(1, m=3)
     with mp.workdps(40):
-        val = f.evaluate(mp.mpf(7))
+        val = mp.make_mpf(f.evaluate([7], {}, *mp._prec_rounding)[0])
         assert abs(val - mp.mpf(7) ** -3) < mp.mpf(10) ** -35
+
+
+# -- the raw evaluator against the generic Horner ------------------------------
+
+
+def _atom_values(series, seed):
+    """Full-precision atom values: every reordering of a coefficient's
+    additions can round differently."""
+    return {
+        a: mp.mpf(random.Random(f"{seed}:{a}").getrandbits(mp.prec)) * 6 / 2**mp.prec - 3
+        for a in sorted(series.atoms())
+    }
+
+
+def _assert_matches_generic(series, tops, vals):
+    raw = {a: v._mpf_ for a, v in vals.items()}
+    got = series.evaluate(tops, raw, *mp._prec_rounding)
+    want = [evaluate(series, mp.mpf(n), log_n=mp.ln(n), values=vals) for n in tops]
+    # the generic Horner returns the int 0 for a series with no cells
+    assert got == [mp.mpf(w)._mpf_ for w in want], (series, tops)
+
+
+class TestRawEvaluator:
+    def test_truncated_expansions_match_the_generic_horner(self):
+        rng = random.Random(23)
+        for point, order in symbolic_points():
+            for star in (False, True):
+                e = stieltjes.asymptotic_expansion(point, order, 14, star)
+                dps = rng.choice((25, 40, 60, 90, 120))
+                with mp.workdps(dps):
+                    vals = _atom_values(e, dps)
+                    target = 10.0 ** -(dps // 2)
+                    cut = stieltjes._first_small_cutoff(e, 64, target)
+                    for series in (e, e.drop_constant_cell(), e.truncated(4 if cut is None else cut)):
+                        _assert_matches_generic(series, (64, 128), vals)
+
+    def test_interior_zero_cells_and_negative_m(self):
+        c = Coeff.rational(Fraction(2, 3)) + Coeff.atom("g(1|0)", Fraction(-5, 7)) + Coeff.atom("g(2|1)", 3)
+        f = (
+            ScaleSeries.monomial(c, l=3, m=-2)
+            + mono(Fraction(1, 9), m=-2)
+            + mono(Fraction(-4, 11), l=2, m=-1)
+            + ScaleSeries.monomial(Coeff.atom("g(1|0)"), l=1, m=3)
+        )
+        with mp.workdps(50):
+            vals = {"g(1|0)": mp.euler, "g(2|1)": -mp.zeta(2, derivative=1)}
+            _assert_matches_generic(f, (17, 64, 1000), vals)
+
+    def test_exact_series(self):
+        f = stieltjes.asymptotic_expansion((0, -1), (0, 0), 3).drop_constant_cell()
+        assert f.precision == INF
+        with mp.workdps(30):
+            _assert_matches_generic(f, (64, 128), {"g(-1|0)": mp.mpf(-1) / 12})
+            _assert_matches_generic(ScaleSeries.zero(), (64, 128), {})
+
+    def test_missing_atom_is_unresolved(self):
+        f = mono(1, l=1) + ScaleSeries.monomial(Coeff.atom("g(1|0)") + Coeff.atom("g(2|0)"), m=1)
+        with mp.workdps(30):
+            with pytest.raises(UnresolvedConstantError, match="g\\(2\\|0\\)"):
+                f.evaluate((64,), {"g(1|0)": mp.euler._mpf_}, *mp._prec_rounding)
+            with pytest.raises(UnresolvedConstantError):
+                f.evaluate((64,), {}, *mp._prec_rounding)
 
 
 # sha256 of the records below, computed with the Q[atoms] implementation that
@@ -174,10 +236,9 @@ def _symbolic_records(seed=6):
                         for a in sorted(e.atoms())
                     }
                     # per cell: in the sum at N = 64 a high-m cell's rounding vanishes
-                    resolved = tuple(c.resolve(vals)._mpf_ for _, c in e.terms if c.weights)
-                    evaluated = tuple(
-                        e.evaluate(mp.mpf(n), log_n=mp.ln(n), values=vals)._mpf_ for n in (64, 128)
-                    )
+                    raw = {a: v._mpf_ for a, v in vals.items()}
+                    resolved = tuple(c.resolve(raw, *mp._prec_rounding) for _, c in e.terms if c.weights)
+                    evaluated = tuple(e.evaluate((64, 128), raw, *mp._prec_rounding))
                 mags = tuple(abs_cell_magnitude(e, q, 64) for q in sorted({m for (m, _), _ in e.terms}))
                 cuts = tuple(stieltjes._first_small_cutoff(e, 64, t) for t in (1e-6, 1e-14))
                 yield (point, order, star, prec, e.precision, cells, resolved, evaluated, mags, cuts)

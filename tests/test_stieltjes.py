@@ -3,16 +3,16 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import pairwise, product
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from helpers import zeta_partial_derivative
+from helpers import resolve, zeta_partial_derivative
 from mzeta import mzv, stieltjes
-from mzeta.config import DEPTH_CAP
+from mzeta.config import DEPTH_CAP, to_mpf
 from mzeta.scale import Coeff
 from mzeta.stieltjes import (
     as_point,
@@ -100,7 +100,7 @@ class TestAsymptoticExpansion:
         e = asymptotic_expansion((0, 0), (0, 0), 1)
         vals = {gamma_atom((0,), (0,)): Fraction(-1)}
         assert e.cell(-2, 0) == Coeff.rational(Fraction(1, 2))
-        assert e.cell(-1, 0).resolve(vals) == Fraction(-3, 2)
+        assert resolve(e.cell(-1, 0), vals) == Fraction(-3, 2)
 
     def test_boundary_points_have_nonnegative_order(self):
         for depth in (1, 2, 3):
@@ -344,6 +344,48 @@ class TestRegSeries:
     def test_iter_orders_counts(self):
         assert len(list(iter_orders(3, 4))) == 35
         assert list(iter_orders(0, 5)) == [()]
+
+
+def _clear_constant_memos():
+    for fn in (reg_series, asymptotic_expansion):
+        fn.cache.clear()
+    stieltjes._atom_cache.clear()
+
+
+class TestTaylorBlocks:
+    @pytest.mark.parametrize("center, degree, digits, star", [((1, 1), 8, 10, False), ((2, 1), 8, 12, True)])
+    def test_block_matches_constants_order_by_order(self, center, degree, digits, star):
+        _clear_constant_memos()
+        block = reg_series(center, degree, digits, star).coefficients
+        _clear_constant_memos()
+        for ks in iter_orders(len(center), degree):
+            gamma = stieltjes_constant(center, ks, digits, star).value
+            weight = to_mpf(Fraction((-1) ** sum(ks), prod(factorial(k) for k in ks)))
+            assert block[ks]._mpf_ == (weight * gamma)._mpf_, ks
+
+    def test_first_level_sweeps_once_per_group(self, monkeypatch):
+        center, degree, digits, star = (2, 1), 6, 12, True
+        n_top = stieltjes.schedule_n(digits)
+        target = 0.25 * 10.0 ** (-(digits + 2))
+        groups = {}
+        for ks in iter_orders(len(center), degree):
+            level = stieltjes._level(center, ks, star, n_top, target)
+            if stieltjes._exact_constant(center, ks, star) is None and level is not None:
+                groups.setdefault(digits + level[1], []).append(ks)  # the working dps
+        assert len(groups) > 1 and max(map(len, groups.values())) > 1
+        sweeps = []
+        sweep = mzv.nested_sums
+
+        def spy(s, tops, *args, **kwargs):
+            sweeps.append((tuple(s), list(tops), [tuple(ks) for ks in args[0]], mp.dps))
+            return sweep(s, tops, *args, **kwargs)
+
+        _clear_constant_memos()
+        monkeypatch.setattr(mzv, "nested_sums", spy)
+        reg_series(center, degree, digits, star)
+        first_tops = [n_top + 1, 2 * n_top + 1]  # a star sum includes its top index
+        first = [(orders, dps) for s, tops, orders, dps in sweeps if s == center and tops == first_tops]
+        assert sorted(first) == sorted((orders, dps) for dps, orders in groups.items())
 
 
 class TestCaches:
