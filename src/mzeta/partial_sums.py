@@ -159,19 +159,22 @@ def sum_sequence(v: ScaleSeries, precision: int) -> ScaleSeries:
 
 
 def schedule_n(digits: int) -> int:
-    """First level N of the constant engine: near the digit count, at least
-    64, and at most half the cap, since each level also sums to 2N."""
+    """The one level N of the constant engine: near the digit count, at
+    least 64, and at most half the cap, since the level also sums to 2N."""
     return min(max(64, 1 << (digits - 1).bit_length()), max_n() // 2)
 
 
 def abs_cell_magnitude(series: ScaleSeries, order: int, n: int) -> float:
     log_n = math.log(n)
     mag = 0.0
-    for (m, l), c in series.terms:  # sorted: the float sum runs in ascending l
-        if m == order:
-            # the rational part first, then the atom weights in name order
-            mag += sum((abs(float(w)) for _, w in c.weights), abs(float(c.q))) * log_n**l
-    return mag * float(n) ** (-order)
+    try:
+        for (m, l), c in series.terms:  # sorted: the float sum runs in ascending l
+            if m == order:
+                # the rational part first, then the atom weights in name order
+                mag += sum((abs(float(w)) for _, w in c.weights), abs(float(c.q))) * log_n**l
+        return mag * float(n) ** (-order)
+    except OverflowError:  # a huge coefficient or n^-order
+        return math.inf
 
 
 def em_slot_name(l: int, m: int) -> str:

@@ -202,62 +202,54 @@ def _constants_by_extrapolation(
 ) -> Iterator[tuple[mpmath.mpf, mpmath.mpf]]:
     """Regularised value and error estimate of each order at the point, in
     turn: u_N less its expansion truncated before the first cell below
-    target, at N and 2N, from N = schedule_n, doubling N until they agree.
+    target, at N = schedule_n and 2N, refused unless they agree.  At that N
+    the floor e^(-2 pi N) lies far below any target, so N is the one level.
 
-    Every order's first level is planned before any runs.  Orders whose
-    first levels share (N, dps), and N is the same for all, take u_N and
-    u_2N from one block sweep, made when the first of them needs it; later
-    levels sweep alone.  Atoms resolve order by order, as for lone constants.
+    Every order's level is planned before any runs.  Orders whose levels
+    share the working dps take u_N and u_2N from one block sweep, made when
+    the first of them needs it.  Atoms resolve order by order.
     """
     target = 0.25 * 10.0 ** (-(digits + 2))
-    n_first = schedule_n(digits)
+    n_top = schedule_n(digits)
+    tops = (n_top, 2 * n_top)
+    # a star sum includes its top index: u_N sums n1 < N+1
+    sum_tops = [n + star for n in tops]
     exacts = [_exact_constant(point, ks, star) for ks in orders]
-    firsts = [
-        None if q is not None else _level(point, ks, star, n_first, target)
+    levels = [
+        None if q is not None else _level(point, ks, star, n_top, target)
         for ks, q in zip(orders, exacts)
     ]
-    # orders whose first levels share (N, dps): N and digits are the same for all
     groups: dict[int, list[OrderIndex]] = {}
-    for ks, level in zip(orders, firsts):
+    for ks, level in zip(orders, levels):
         if level is not None:
             groups.setdefault(level[1], []).append(ks)
     swept: dict[int, dict[OrderIndex, list]] = {}
-    for order, exact, level in zip(orders, exacts, firsts):
+    for order, exact, level in zip(orders, exacts, levels):
         if exact is not None:
             with mp.workdps(digits + 15):
                 value = to_mpf(exact)
             yield value, mp.zero
             continue
-        n_top = n_first
-        while True:
-            if level is not None:
-                series, extra = level
-                values = _resolve_series_atoms(series, digits + extra - 7)
-                with mp.workdps(digits + extra):
-                    prec, rnd = mp._prec_rounding
-                    tops = (n_top, 2 * n_top)
-                    # a star sum includes its top index: u_N sums n1 < N+1
-                    sum_tops = [n + star for n in tops]
-                    if n_top != n_first:
-                        sums = mzv.nested_sums(point, sum_tops, [order], star)[0][0]
-                    else:
-                        if extra not in swept:
-                            block = groups[extra]
-                            sweep = mzv.nested_sums(point, sum_tops, block, star)
-                            swept[extra] = {ks: at_tops for ks, (at_tops, _) in zip(block, sweep)}
-                        sums = swept[extra][order]
-                    divergent = series.evaluate(tops, values, prec, rnd)
-                    u_n, u_2n = (mp.make_mpf(mpf_sub(u._mpf_, d, prec, rnd)) for u, d in zip(sums, divergent))
-                    err = abs(u_2n - u_n)
-                    if err <= mpmath.mpf(10) ** (-digits):
-                        break
-            if 4 * n_top > max_n():
-                raise PrecisionUnreachableError(
-                    f"{gamma_atom(point, order, star)} did not stabilise to "
-                    f"{digits} digits by N={2 * n_top}"
-                )
-            n_top *= 2
-            level = _level(point, order, star, n_top, target)
+        stable = False
+        if level is not None:
+            series, extra = level
+            values = _resolve_series_atoms(series, digits + extra - 7)
+            with mp.workdps(digits + extra):
+                prec, rnd = mp._prec_rounding
+                if extra not in swept:
+                    block = groups[extra]
+                    sweep = mzv.nested_sums(point, sum_tops, block, star)
+                    swept[extra] = {ks: at_tops for ks, (at_tops, _) in zip(block, sweep)}
+                divergent = series.evaluate(tops, values, prec, rnd)
+                sums = swept[extra][order]
+                u_n, u_2n = (mp.make_mpf(mpf_sub(u._mpf_, d, prec, rnd)) for u, d in zip(sums, divergent))
+                err = abs(u_2n - u_n)
+                stable = err <= mpmath.mpf(10) ** (-digits)
+        if not stable:
+            raise PrecisionUnreachableError(
+                f"{gamma_atom(point, order, star)} did not stabilise to "
+                f"{digits} digits by N={2 * n_top}"
+            )
         yield u_2n, err
 
 
@@ -283,16 +275,20 @@ def _truncated_expansion(
     """The expansion less its constant cell, cut before its first cell below
     ``target`` at N = ``n_top``, raising the X-order by 6 until one is; None
     once the top cells stop shrinking (the series turns near order 2 pi N),
-    or at once when the target lies far below that turn's floor e^(-2 pi N)."""
+    or at once when the target lies far below that turn's floor e^(-2 pi N).
+    A probe with no top cells lies below the first cell past the constant
+    (a >= 10 at depth 1) and cannot place the cut: the ladder probes on."""
     if target < 1e-6 * math.exp(-2 * math.pi * n_top):
         return None
     smallest = INF
     for probe in count(8, 6):
         table = asymptotic_expansion(point, order, probe, star)
+        top = {q for (q, _), _ in table.terms if q > probe - 6}
+        if not top and table.precision != INF:
+            continue
         cut = _first_small_cutoff(table, n_top, target)
         if cut is not None:
             return table.truncated(cut).drop_constant_cell()
-        top = {q for (q, _), _ in table.terms if q > probe - 6}
         top_smallest = min((abs_cell_magnitude(table, q, n_top) for q in top), default=INF)
         if top_smallest >= smallest:
             return None

@@ -94,6 +94,14 @@ class TestStieltjesCommand:
         assert out == ""
         assert err == f"error: depth {depth} exceeds --depth-cap {cap}\n"
 
+    @pytest.mark.parametrize("point", [-80, -200, -1000])
+    def test_large_negative_point_is_refused_at_once(self, capsys, point):
+        # the cells of t^-a log t outgrow the float range (-200, -1000) or
+        # stop shrinking (-80) before any cut reaches the target at N = 64
+        code, out, err = run_cli(capsys, "stieltjes", f"--point={point}", "--order=1")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: g({point}|1) did not stabilise")
+
 
 class TestZetaCommand:
     def test_zeta_zero(self, capsys):

@@ -221,7 +221,11 @@ class TestIntegerKernelOracle:
 
 # (l, m) of the basis sums (log n)^l n^-m with a closed-form constant;
 # (1,-1), (2,-1), (1,-3): the basis sum has a rational constant cell
-CLOSED_FORM_CASES = [(0, 1), (1, 1), (2, 1), (1, 0), (1, 2), (0, 3), (1, -1), (2, -1), (1, -3)]
+# (1, 10), (4, 11) and (0, 12): the first probe (X-order 8) lies below the
+# first cell past the constant, X^(m-1)
+CLOSED_FORM_CASES = [
+    (0, 1), (1, 1), (2, 1), (1, 0), (1, 2), (0, 3), (1, -1), (2, -1), (1, -3), (1, 10), (4, 11), (0, 12),
+]
 
 
 def _depth_one_closed_form(l, m):

@@ -186,6 +186,23 @@ class TestStieltjesConstant:
             v2, _ = _constant_by_extrapolation(point, order, False, 14)
             assert abs(v1 - v2) <= max(e1, mp.mpf(10) ** -10)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_constant_past_the_first_probe_sums_one_level(self, monkeypatch, k):
+        # at a = 10 the first probe (X-order 8) lies below the first cell
+        # past the constant, X^9: the probes go on, and N stays schedule_n
+        n_top = stieltjes.schedule_n(30)
+        tops = []
+        sweep = mzv.nested_sums
+
+        def spy(s, sum_tops, *args, **kwargs):
+            tops.append(list(sum_tops))
+            return sweep(s, sum_tops, *args, **kwargs)
+
+        monkeypatch.delenv("MZETA_MAX_N", raising=False)
+        monkeypatch.setattr(mzv, "nested_sums", spy)
+        stieltjes_constant((10,), (k,), 30)
+        assert tops and all(t == [n_top, 2 * n_top] for t in tops)
+
     def test_convergent_point_consistency(self):
         # at interior points the constants are signed derivatives of the
         # continued values (finite-difference oracle)
