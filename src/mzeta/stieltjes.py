@@ -261,11 +261,11 @@ def _level(
     series = _truncated_expansion(point, order, star, n_top, target)
     if series is None:
         return None
-    # guard digits for the cancellation u_N - divergent(N); both the
-    # N-growth of negative orders and the log-power growth count
+    # guard digits for the cancellation u_2N - divergent(2N), at the larger
+    # top; both the N-growth of negative orders and the log-power growth count
     max_deg = max((l for (_, l), _ in series.terms), default=0)
-    extra = max(0.0, -series.order() * math.log10(n_top))
-    extra += max_deg * math.log10(math.log(n_top))
+    extra = max(0.0, -series.order() * math.log10(2 * n_top))
+    extra += max_deg * math.log10(math.log(2 * n_top))
     return series, 15 + int(extra)
 
 
@@ -276,12 +276,12 @@ def _truncated_expansion(
     ``target`` at N = ``n_top``, raising the X-order by 6 until one is; None
     once the top cells stop shrinking (the series turns near order 2 pi N),
     or at once when the target lies far below that turn's floor e^(-2 pi N).
-    A probe with no top cells lies below the first cell past the constant
-    (a >= 10 at depth 1) and cannot place the cut: the ladder probes on."""
+    The ladder starts at the least prefix excess (a - 1 at depth 1), below
+    which no cell of order >= 1 lies; a probe with no top cells probes on."""
     if target < 1e-6 * math.exp(-2 * math.pi * n_top):
         return None
     smallest = INF
-    for probe in count(8, 6):
+    for probe in count(8 + 6 * max(0, (min(_excess(point)) - 3) // 6), 6):
         table = asymptotic_expansion(point, order, probe, star)
         top = {q for (q, _), _ in table.terms if q > probe - 6}
         if not top and table.precision != INF:

@@ -94,13 +94,25 @@ class TestStieltjesCommand:
         assert out == ""
         assert err == f"error: depth {depth} exceeds --depth-cap {cap}\n"
 
-    @pytest.mark.parametrize("point", [-80, -200, -1000])
+    @pytest.mark.parametrize("point", [-150, -200, -1000])
     def test_large_negative_point_is_refused_at_once(self, capsys, point):
-        # the cells of t^-a log t outgrow the float range (-200, -1000) or
-        # stop shrinking (-80) before any cut reaches the target at N = 64
+        # the cells of t^-a log t, or their coefficients (-150, past X^168),
+        # outgrow the float range before any cut reaches the target at N = 64
         code, out, err = run_cli(capsys, "stieltjes", f"--point={point}", "--order=1")
         assert (code, out) == (3, "")
         assert err.startswith(f"error: g({point}|1) did not stabilise")
+
+    @pytest.mark.parametrize(
+        "point, value",
+        [("1000000", "1.00000000000"), ("10000000", "1.00000000000"), ("10000000,1", "1.10499468238e-3010300")],
+    )
+    def test_large_positive_point_is_answered(self, capsys, point, value):
+        # every cell past the constant lies below the target at N = 64: one
+        # probe at the first cell's X-order places the cut; 2^-(10^7) at (10^7, 1)
+        order = ",".join("0" for _ in point.split(","))
+        code, out, err = run_cli(capsys, "stieltjes", f"--point={point}", f"--order={order}")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == value
 
 
 class TestZetaCommand:

@@ -299,6 +299,18 @@ class TestResolveConstant:
         assert error < mp.mpf(10) ** -digits
         assert error <= v.est_error
 
+    @pytest.mark.parametrize("l, m", [(1, -62), (4, -79), (1, -80)])
+    @pytest.mark.parametrize("digits", [12, 50])
+    def test_large_negative_exponent_meets_its_target(self, l, m, digits):
+        # u_2N grows like (2N)^(1-m), so the guard digits are sized at 2N: at
+        # N they fell ~0.3(1-m) - 15 digits short and the N/2N check failed.
+        # The values reach 1e55, so the closed form needs ~60 more digits
+        v = stieltjes_constant((m,), (l,), digits)
+        with mp.workdps(digits + 100):
+            error = abs(v.value - _depth_one_closed_form(l, m))
+        assert error < mp.mpf(10) ** -digits
+        assert error <= v.est_error
+
     def test_stieltjes_metadata(self):
         with mp.workdps(25):
             assert abs(known_closed_form(em_slot_name(2, 1)) - mpmath.stieltjes(2)) < 1e-20

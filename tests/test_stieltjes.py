@@ -188,8 +188,8 @@ class TestStieltjesConstant:
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_constant_past_the_first_probe_sums_one_level(self, monkeypatch, k):
-        # at a = 10 the first probe (X-order 8) lies below the first cell
-        # past the constant, X^9: the probes go on, and N stays schedule_n
+        # at a = 10 the X-order 8 probe lies below the first cell past the
+        # constant, X^9: the ladder starts past it, and N stays schedule_n
         n_top = stieltjes.schedule_n(30)
         tops = []
         sweep = mzv.nested_sums
@@ -202,6 +202,22 @@ class TestStieltjesConstant:
         monkeypatch.setattr(mzv, "nested_sums", spy)
         stieltjes_constant((10,), (k,), 30)
         assert tops and all(t == [n_top, 2 * n_top] for t in tops)
+
+    @pytest.mark.parametrize("point, first", [((10,), 14), ((10**6,), 10**6 + 4), ((10**6, -5), 10**6 - 2)])
+    def test_probe_ladder_starts_at_the_least_prefix_excess(self, monkeypatch, point, first):
+        # no cell of order >= 1 lies below the least prefix excess: the first
+        # probe is the first X-order 8 + 6j at or above it, and places the cut
+        probes = []
+        expand = stieltjes.asymptotic_expansion
+
+        def spy(pt, order, precision, star=False):
+            if pt == point:
+                probes.append(precision)
+            return expand(pt, order, precision, star)
+
+        monkeypatch.setattr(stieltjes, "asymptotic_expansion", spy)
+        stieltjes_constant(point, (0,) * len(point), 12)
+        assert probes == [first]
 
     def test_convergent_point_consistency(self):
         # at interior points the constants are signed derivatives of the
