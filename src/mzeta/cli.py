@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mp
 
 from . import __version__, harness, mzv, stieltjes, stuffle
-from .config import DEPTH_CAP, max_n
+from .config import DEPTH_CAP, max_n, to_mpf
 from .errors import PolarPointError, PoleProximityError, PrecisionUnreachableError
 
 EXIT_OK = 0
@@ -62,10 +62,11 @@ def _parse_complex_list(text: str) -> tuple:
             # keep exact rationals so polar detection stays exact
             out.append(int(re_part) if "." not in re_part else Fraction(re_part))
         else:
-            z = mp.mpc(float(re_part), float(im_part))
-            if not mpmath.isfinite(z):
+            # both parts exact, rounded once at the working precision
+            parts = Fraction(re_part), Fraction(im_part)
+            if max(map(abs, parts)) > sys.float_info.max:
                 raise CliParseError(f"complex number {tok!r} is out of range")
-            out.append(z)
+            out.append(mp.mpc(*map(to_mpf, parts)))
     return tuple(out)
 
 
@@ -83,11 +84,14 @@ def _fmt(x, digits: int) -> str:
 
 
 def _emit(payload: dict, output: str, text_lines: list[str]) -> None:
-    if output == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=2) if output == "json" else "\n".join(text_lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): as Python's docs advise for
+        # SIGPIPE, point stdout at devnull so that no later flush raises, and
+        # let the command return its own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _build_parser() -> argparse.ArgumentParser:

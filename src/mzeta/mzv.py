@@ -658,30 +658,6 @@ def zeta_tail_via_values(
     return tails[-1]
 
 
-def richardson_partial(fn, center: list, order: tuple[int, ...], h) -> tuple[mpmath.mpc, mpmath.mpf]:
-    """Mixed partial derivative of ``fn`` at ``center`` by nested central
-    differences at steps h and h/2, Richardson-extrapolated once, and the
-    size of that extrapolation's correction as an error estimate."""
-    d_h = _nested_central(fn, center, order, h)
-    d_h2 = _nested_central(fn, center, order, h / 2)
-    return (4 * d_h2 - d_h) / 3, abs(d_h2 - d_h) / 3
-
-
-def _nested_central(fn, center: list, order: tuple[int, ...], h) -> mpmath.mpc:
-    """Mixed partial derivative of ``fn`` by nested central differences."""
-    idx = next((i for i, k in enumerate(order) if k > 0), None)
-    if idx is None:
-        return fn(center)
-    lower = tuple(k - (1 if i == idx else 0) for i, k in enumerate(order))
-
-    def shifted(delta):
-        pt = list(center)
-        pt[idx] = pt[idx] + delta
-        return _nested_central(fn, pt, lower, h)
-
-    return (shifted(h) - shifted(-h)) / (2 * h)
-
-
 # -- regularised continuation assembled from tails ----------------------------
 
 
@@ -733,17 +709,27 @@ def reg_via_tails(
 ) -> mpmath.mpc:
     """Regularised multiple zeta value at s near an integer point, assembled
     from continued values of lower depth and exact correction terms."""
+    return reg_via_tails_with_scale(point, s, digits, star)[0]
+
+
+def reg_via_tails_with_scale(
+    point: Sequence[int], s: Sequence, digits: int = 12, star: bool = False
+) -> tuple[mpmath.mpc, mpmath.mpf]:
+    """:func:`reg_via_tails` and the scale of its rounding, the sum over its
+    terms of |correction| max(1, |suffix value|): each suffix value is good
+    to 10^-(digits+6) absolutely, and each product to 10^-(digits+10)."""
     point = tuple(int(a) for a in point)
     r = len(point)
     if len(s) != r:
         raise ValueError("argument depth mismatch")
     variant = "star" if star else "strict"
     with mp.workdps(working_dps(digits)):
-        total = mp.mpc(0)
+        total, scale = mp.mpc(0), mp.zero
         for i in range(r + 1):
             corr = reg_correction_term(point[:i], s[:i], star=star)
             if corr == 0:
                 continue
             suffix = zeta_value(list(s[i:]), digits + 4, variant)
             total += (-1) ** i * suffix * corr
-        return total
+            scale += abs(corr) * max(1, abs(suffix))
+        return total, scale

@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate, count, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -243,7 +243,9 @@ def _constants_by_extrapolation(
                 divergent = series.evaluate(tops, values, prec, rnd)
                 sums = swept[extra][order]
                 u_n, u_2n = (mp.make_mpf(mpf_sub(u._mpf_, d, prec, rnd)) for u, d in zip(sums, divergent))
-                err = abs(u_2n - u_n)
+                # the N/2N gap, floored by the rounding of u_2N - D(2N)
+                floor = mpmath.ldexp(max(abs(sums[1]), abs(mp.make_mpf(divergent[1]))), 3 - prec)
+                err = max(abs(u_2n - u_n), floor)
                 stable = err <= mpmath.mpf(10) ** (-digits)
         if not stable:
             raise PrecisionUnreachableError(
@@ -344,55 +346,62 @@ def stieltjes_constant(
     return StieltjesValue(value, point, order, star, err, method)
 
 
+# rho_j / R_j: the torus of the assembly samples against the polydisc of its
+# aliasing bound, rho_j = 1e-8 2^-j and R_j = 2^-(j+1)
+_TORUS_RATIO = 2e-8
+
+
 def _constant_by_assembly(
     point: IntPoint, order: OrderIndex, star: bool, digits: int
 ) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """gamma_k = (-1)^|k| k! c_k, where c_k is the Taylor coefficient of the
+    regularised function f = :func:`mzv.reg_via_tails` at the point: the mean
+    of f(a + z) z^-k over a torus of M_j-th roots of unity of radius rho_j,
+    at phases pi (2t+1)/M_j, so that conjugate nodes share one evaluation.
+    A contiguous sum z_i+..+z_j stays at least rho_j off 0.
+
+    f is analytic on the polydisc of radii R_j, which moves no contiguous
+    sum by 1, so the trapezoidal aliasing is at most
+    B R^-k (prod_j 1/(1 - q^M_j) - 1), q = rho_j/R_j, and M_j makes q^M_j
+    reach 10^-(digits+2).  B is the majorant sum |c_n| R^n over the grid's
+    coefficients of total degree below max M_j (those above it are mostly
+    rounding).  Each contiguous sum a_i+..+a_j on a polar integer cancels
+    terms of size up to 1/rho_j, so the samples carry 8 more digits for it,
+    as for each order of k; their rounding follows the largest scale of
+    :func:`mzv.reg_via_tails_with_scale` met, and z^-k magnifies it.
+    """
     if not point:
         return mp.one, mp.zero
-    k_total = sum(order)
-    with mp.workdps(digits + 15 + 4 * k_total):
-        if k_total == 0:
-            return _reg_center_value(point, star, digits)
-        # mixed partial of the regularised function at the center via
-        # central differences, Richardson-extrapolated once
-        h = mp.mpf(10) ** (-max(2, digits // (2 * (k_total + 1))))
+    r = len(point)
+    polar = sum(mzv._is_polar_integer(j - i + 1, sum(point[i : j + 1])) for i in range(r) for j in range(i, r))
+    sample_digits = digits + 8 * (sum(order) + polar) + 6
+    nodes = [max(k + 1, 2, math.ceil((digits + 2) / -math.log10(_TORUS_RATIO))) for k in order]
+    with mp.workdps(mzv.working_dps(sample_digits)):
+        q = mp.mpf(_TORUS_RATIO)
+        radii = [mp.mpf(2) ** -(j + 1) for j in range(r)]
+        rho = [q * R for R in radii]
+        axes = [[x * mp.expjpi(mp.mpf(2 * t + 1) / m) for t in range(m)] for x, m in zip(rho, nodes)]
+        samples: dict[tuple[int, ...], mpmath.mpc] = {}
+        scale = mp.zero
+        for t in product(*map(range, nodes)):
+            twin = tuple(m - 1 - u for m, u in zip(nodes, t))
+            if twin in samples:
+                samples[t] = mp.conj(samples[twin])
+            else:
+                s = [a + axis[u] for a, axis, u in zip(point, axes, t)]
+                samples[t], at_t = mzv.reg_via_tails_with_scale(point, s, sample_digits, star=star)
+                scale = max(scale, at_t)
 
-        def fn(s):
-            return mzv.reg_via_tails(point, s, digits + 6, star=star)
+        def coefficient(n: tuple[int, ...]) -> mpmath.mpc:
+            terms = (f * mp.fprod(axis[u] ** -m for axis, u, m in zip(axes, t, n)) for t, f in samples.items())
+            return mp.fsum(terms) / len(samples)
 
-        center = [mp.mpf(a) for a in point]
-        deriv, correction = mzv.richardson_partial(fn, center, order, h)
-        value = (-1) ** k_total * deriv.real
-        err = max(correction, abs(value) * mp.mpf(10) ** (-digits))
-        return value, err
-
-
-def _reg_center_value(point: IntPoint, star: bool, digits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    direction = [mp.mpf(1) / (j + 2) for j in range(len(point))]
-    # n samples fit to about eps^n: shrink eps with the target, but keep the
-    # samples 1e-10 clear of the polar hyperplanes (shift <= 6) and take more
-    # samples past 32 digits; the samples get the digits their 1/eps terms cancel
-    shift = min(6, max(0, (digits + 2) // 4 - 2))
-    base = mp.mpf("0.008") / mp.mpf(10) ** shift
-    samples = []
-    for i in range(4 + max(0, digits - 25) // 8):
-        eps = base / 2**i
-        s = [mp.mpf(a) + eps * d for a, d in zip(point, direction)]
-        samples.append((eps, mzv.reg_via_tails(point, s, digits + 8 + shift, star=star)))
-    # Richardson: fit polynomial in eps through the samples, value at 0
-    value = _neville_at_zero(samples).real
-    crude = _neville_at_zero(samples[:-1]).real
-    return value, abs(value - crude)
-
-
-def _neville_at_zero(samples: list[tuple]) -> mpmath.mpf:
-    xs = [s[0] for s in samples]
-    ys = [s[1] for s in samples]
-    n = len(xs)
-    for level in range(1, n):
-        for i in range(n - level):
-            ys[i] = (xs[i + level] * ys[i] - xs[i] * ys[i + 1]) / (xs[i + level] - xs[i])
-    return ys[0]
+        lower = (n for n in product(*map(range, nodes)) if sum(n) < max(nodes))
+        majorant = mp.fsum(abs(coefficient(n)) * mp.fprod(map(pow, radii, n)) for n in lower)
+        aliasing = majorant / mp.fprod(map(pow, radii, order)) * (mp.fprod(1 / (1 - q**m) for m in nodes) - 1)
+        rounding = scale * mp.mpf(10) ** -(sample_digits + 5) / mp.fprod(map(pow, rho, order))
+        weight = math.prod(factorial(k) for k in order)
+        return (-1) ** sum(order) * weight * coefficient(order).real, weight * (aliasing + rounding)
 
 
 # -- regularised power series -------------------------------------------------

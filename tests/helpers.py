@@ -14,7 +14,7 @@ from mpmath import mp
 
 from mzeta.config import memo, to_mpc
 from mzeta.errors import UnresolvedConstantError
-from mzeta.mzv import richardson_partial, working_dps, zeta_value
+from mzeta.mzv import working_dps, zeta_value
 from mzeta.scale import Coeff, ScaleSeries
 
 Number = Union[int, float, complex, Fraction]
@@ -39,6 +39,30 @@ def zeta_partial_derivative(
             return zeta_value(pt, inner_digits)
 
         return richardson_partial(fn, center, order, h)[0]
+
+
+def richardson_partial(fn, center: list, order: tuple[int, ...], h) -> tuple[mpmath.mpc, mpmath.mpf]:
+    """Mixed partial derivative of ``fn`` at ``center`` by nested central
+    differences at steps h and h/2, Richardson-extrapolated once, and the
+    size of that extrapolation's correction as an error estimate."""
+    d_h = nested_central(fn, center, order, h)
+    d_h2 = nested_central(fn, center, order, h / 2)
+    return (4 * d_h2 - d_h) / 3, abs(d_h2 - d_h) / 3
+
+
+def nested_central(fn, center: list, order: tuple[int, ...], h) -> mpmath.mpc:
+    """Mixed partial derivative of ``fn`` by nested central differences."""
+    idx = next((i for i, k in enumerate(order) if k > 0), None)
+    if idx is None:
+        return fn(center)
+    lower = tuple(k - (1 if i == idx else 0) for i, k in enumerate(order))
+
+    def shifted(delta):
+        pt = list(center)
+        pt[idx] = pt[idx] + delta
+        return nested_central(fn, pt, lower, h)
+
+    return (shifted(h) - shifted(-h)) / (2 * h)
 
 
 def symbolic_points(n_pairs=40, seed=6):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,8 +55,8 @@ class TestStieltjesCommand:
         assert out.splitlines()[0] == "-0.655878071520"
 
     def test_assembly_past_a_lower_shells_pole(self, capsys):
-        # the samples keep s2 = 1: shells 0..2 of the reversed prefix (s2, s1)
-        # have a pole, but no term of shell 3, the correction's own
+        # shells 0..2 of the reversed prefix (s2, s1) have a pole at s2 = 1,
+        # 1e-8 from every sample; shell 3, the correction's own, has none
         code, out, _ = run_cli(
             capsys, "stieltjes", "--point=-2,1", "--order=1,0", "--digits=12",
             "--method=closed_form_assembly",
@@ -135,6 +136,17 @@ class TestZetaCommand:
         code, out, _ = run_cli(capsys, "zeta", "--args", "2+0.5i", "--digits", "10")
         assert code == 0
         assert "j" in out.splitlines()[0]
+
+    def test_complex_parts_are_parsed_exactly(self, capsys):
+        # through float, 0.1+0i was 0.1000000000000000055.. and 17 of 40 digits moved
+        _, real, _ = run_cli(capsys, "zeta", "--args=0.1", "--digits=40")
+        _, cplx, _ = run_cli(capsys, "zeta", "--args=0.1+0i", "--digits=40")
+        assert cplx == real
+        code, out, _ = run_cli(capsys, "zeta", "--args=0.1+0.3i", "--digits=40", "--output=json")
+        re_part, im_part = re.fullmatch(r"(-?[\d.]+)([+-][\d.]+)j", json.loads(out)["value"]).groups()
+        with mp.workdps(60):
+            ref = mp.zeta(mp.mpc(mp.mpf(1) / 10, mp.mpf(3) / 10))
+            assert code == 0 and abs(mp.mpc(mp.mpf(re_part), mp.mpf(im_part)) - ref) < mp.mpf(10) ** -39
 
     def test_star_variant(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--args", "2,1", "--star", "--digits", "10")
@@ -391,6 +403,33 @@ class TestExpandCommand:
     def test_degree_cap(self, capsys):
         code, _, _ = run_cli(capsys, "expand", "--point", "1", "--degree", "9")
         assert code == 2
+
+
+def test_closed_stdout_exits_quietly_with_the_command_code(capsys, monkeypatch):
+    # the reader of the pipe left before the value was written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["stieltjes", "--point=10000000", "--order=0"])
+        monkeypatch.undo()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_head_of_the_output_leaves_stderr_empty():
+    # `mzeta stieltjes --point=10000000 --order=0 | head -c 5`: no traceback
+    # from the write, nor from the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mzeta.cli", "stieltjes", "--point=10000000", "--order=0"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+    os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_cli_import_leaves_the_process_pool_out():

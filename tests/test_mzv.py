@@ -6,7 +6,7 @@ from math import comb, factorial, prod
 import pytest
 from mpmath import mp
 
-from helpers import rising, zeta_partial_derivative
+from helpers import nested_central, richardson_partial, rising, zeta_partial_derivative
 from mzeta import mzv, stieltjes
 from mzeta.config import MIN_MAX_N, to_mpc, to_mpf
 from mzeta.errors import (
@@ -1257,9 +1257,9 @@ def test_richardson_partial_is_the_derivative_and_its_correction():
         def fn(pt):
             return pt[0] ** 3 * mp.exp(pt[1])
 
-        d_h = mzv._nested_central(fn, center, (1, 1), h)
-        d_h2 = mzv._nested_central(fn, center, (1, 1), h / 2)
-        deriv, err = mzv.richardson_partial(fn, center, (1, 1), h)
+        d_h = nested_central(fn, center, (1, 1), h)
+        d_h2 = nested_central(fn, center, (1, 1), h / 2)
+        deriv, err = richardson_partial(fn, center, (1, 1), h)
         assert deriv == (4 * d_h2 - d_h) / 3 and err == abs(d_h2 - d_h) / 3
         assert abs(deriv - 12 * mp.exp(3)) < 1e-9
 

@@ -123,6 +123,12 @@ class TestAsymptoticExpansion:
             assert e.order() >= bound
 
 
+def _assembly_meets_its_estimate(point, order, digits, ref, star=False):
+    got = stieltjes_constant(point, order, digits, star=star, method="closed_form_assembly")
+    with mp.workdps(digits + 20):
+        assert abs(got.value - ref) <= got.est_error <= mp.mpf(10) ** -digits, (got.value, got.est_error)
+
+
 class TestStieltjesConstant:
     def test_euler(self):
         v = stieltjes_constant((1,), (0,), 12)
@@ -275,15 +281,21 @@ class TestStieltjesConstant:
         [
             ((0,), 20, lambda: -mp.one),
             ((1, 1), 30, lambda: (mp.euler**2 - mp.zeta(2)) / 2),
-            # past 32 digits: more samples, each clear of the pole at s1 = 1
+            # at 50 digits: 7 nodes, each 1e-8 clear of the pole at s1 = 1
             ((1,), 50, lambda: +mp.euler),
         ],
     )
     def test_order_zero_assembly_meets_the_digits(self, point, digits, closed_form):
         order = (0,) * len(point)
-        got = stieltjes_constant(point, order, digits, method="closed_form_assembly")
         with mp.workdps(digits + 20):
-            assert abs(got.value - closed_form()) < mp.mpf(10) ** -digits
+            _assembly_meets_its_estimate(point, order, digits, closed_form())
+
+    def test_est_error_has_a_rounding_floor(self):
+        # u_N and u_2N agree to the last bit here: the N/2N gap alone was 0
+        got = stieltjes_constant((40,), (3,), 30)
+        with mp.workdps(90):
+            err = abs(got.value + mp.zeta(40, derivative=3))  # g(40|3) = -zeta^(3)(40)
+            assert 0 < err <= got.est_error <= mp.mpf(10) ** -30
 
     @pytest.mark.parametrize("method", ["extrapolation", "closed_form_assembly"])
     @pytest.mark.parametrize("point, order", [((3, 2), (1, 0)), ((2,), (0,))])
@@ -322,6 +334,52 @@ def _brute_force_sum(point, n_top, star):
         for ns in product(range(1, n_top + star), repeat=len(point))
         if all(holds(a, b) for a, b in pairwise(ns))
     )
+
+
+class TestAssembly:
+    """The Cauchy grid of closed_form_assembly, against closed forms and the
+    extrapolation route: true error <= est_error <= 10^-digits."""
+
+    def test_second_derivative_of_zeta_at_three(self):
+        # was 6.3e-10 off: gs(3|2) = zeta''(3)
+        with mp.workdps(40):
+            ref = mp.zeta(3, derivative=2)
+        _assembly_meets_its_estimate((3,), (2,), 12, ref, star=True)
+
+    @pytest.mark.parametrize(
+        "point, order, digits",
+        [
+            ((1, 2), (0, 1), 12),  # exited 4: its samples kept s1 = 1
+            ((1, 1), (1, 0), 30),
+            ((2, 1), (1, 1), 20),  # was 1.6e-11 off
+        ],
+    )
+    def test_agrees_with_extrapolation(self, point, order, digits):
+        ref = stieltjes_constant(point, order, digits + 5).value
+        _assembly_meets_its_estimate(point, order, digits, ref)
+
+    def test_depth_two_taylor_block(self):
+        orders = list(iter_orders(2, 2))
+        for ks, (ref, _) in zip(orders, stieltjes._constants_by_extrapolation((2, 1), orders, False, 35)):
+            _assembly_meets_its_estimate((2, 1), ks, 30, ref)
+
+    def test_depth_six_samples_keep_off_the_poles(self, monkeypatch):
+        # every contiguous sum s_i+..+s_j of a sample stays 100 POLE_TOL off
+        # its value at the point, where the point's own poles lie
+        point = (1,) * DEPTH_CAP
+        samples = []
+
+        def spy(pt, s, digits, star=False):
+            samples.append(s)
+            return mp.mpc(1), mp.one
+
+        monkeypatch.setattr(mzv, "reg_via_tails_with_scale", spy)
+        stieltjes_constant(point, (0,) * len(point), 12, method="closed_form_assembly")
+        assert len(samples) == 2 ** (len(point) - 1)  # conjugate nodes share one
+        for s in samples:
+            for i in range(len(s)):
+                for j in range(i + 1, len(s) + 1):
+                    assert abs(mp.fsum(s[i:j]) - sum(point[i:j])) >= 100 * mzv.POLE_TOL
 
 
 class TestRegSeries:
