@@ -157,25 +157,31 @@ _atom_cache: dict[str, tuple[int, int, mpmath.mpf]] = {}  # name -> (cap, digits
 
 def resolve_atom(name: str, digits: int) -> mpmath.mpf:
     """Numeric value of a constant atom ``g(..)``/``gs(..)`` of
-    :func:`gamma_atom`, by extrapolation.
+    :func:`gamma_atom`, by extrapolation: a block of one.
 
     A value resolved earlier to at least ``digits`` digits, under the same cap, is reused.
     """
+    return _resolve_atoms([name], digits)[name]
+
+
+def _resolve_atoms(names: Iterable[str], digits: int) -> dict[str, mpmath.mpf]:
+    """Each atom to ``digits`` digits, by one block per (point, star), deepest
+    first, then by point and order, whatever the string hashing: a shallower
+    atom that a deeper block resolves on the way, at more digits, is reused,
+    and no cached value is replaced by a less precise one."""
+    blocks: dict[tuple[IntPoint, bool], list[OrderIndex]] = {}
+    for point, order, star in sorted(map(parse_gamma_atom, set(names)), key=lambda a: (-len(a[0]), a)):
+        blocks.setdefault((point, star), []).append(order)
+    for (point, star), orders in blocks.items():
+        todo = [ks for ks in orders if not _cached(gamma_atom(point, ks, star), digits)]
+        for ks, (value, _) in zip(todo, _constants_by_extrapolation(point, todo, star, digits)):
+            _atom_cache[gamma_atom(point, ks, star)] = (max_n(), digits, value)
+    return {name: _atom_cache[name][2] for name in names}
+
+
+def _cached(name: str, digits: int) -> bool:
     hit = _atom_cache.get(name)
-    if hit is not None and hit[0] == max_n() and hit[1] >= digits:
-        return hit[2]
-    value = _constant_by_extrapolation(*parse_gamma_atom(name), digits)[0]
-    _atom_cache[name] = (max_n(), digits, value)
-    return value
-
-
-def _resolve_series_atoms(series: ScaleSeries, digits: int) -> dict[str, tuple]:
-    # deepest first, then by name, whatever the string hashing: a shallower
-    # atom that a deeper one resolves on the way, at more digits, is reused
-    def deepest_first(name: str) -> tuple[int, str]:
-        return -len(parse_gamma_atom(name)[0]), name
-
-    return {name: resolve_atom(name, digits)._mpf_ for name in sorted(series.atoms(), key=deepest_first)}
+    return hit is not None and hit[0] == max_n() and hit[1] >= digits
 
 
 def _exact_constant(point: IntPoint, order: OrderIndex, star: bool) -> Fraction | None:
@@ -205,26 +211,33 @@ def _constants_by_extrapolation(
     target, at N = schedule_n and 2N, refused unless they agree.  At that N
     the floor e^(-2 pi N) lies far below any target, so N is the one level.
 
-    Every order's level is planned before any runs.  Orders whose levels
-    share the working dps take u_N and u_2N from one block sweep, made when
-    the first of them needs it.  Atoms resolve order by order.
+    The block is planned whole before any order yields, up to the first
+    refusal, each ladder starting at the previous order's cutting probe.
+    It works at one dps, the digits plus its largest guard: one sweep serves
+    every order, and every atom its series read resolves once, 7 digits lower.
     """
     target = 0.25 * 10.0 ** (-(digits + 2))
     n_top = schedule_n(digits)
     tops = (n_top, 2 * n_top)
     # a star sum includes its top index: u_N sums n1 < N+1
     sum_tops = [n + star for n in tops]
-    exacts = [_exact_constant(point, ks, star) for ks in orders]
-    levels = [
-        None if q is not None else _level(point, ks, star, n_top, target)
-        for ks, q in zip(orders, exacts)
-    ]
-    groups: dict[int, list[OrderIndex]] = {}
-    for ks, level in zip(orders, levels):
+    plan, first = [], None
+    for ks in orders:
+        exact = _exact_constant(point, ks, star)
+        level = None if exact is not None else _level(point, ks, star, n_top, target, first)
+        plan.append((ks, exact, level))
         if level is not None:
-            groups.setdefault(level[1], []).append(ks)
-    swept: dict[int, dict[OrderIndex, list]] = {}
-    for order, exact, level in zip(orders, exacts, levels):
+            first = level[2]
+        elif exact is None:
+            break  # refused: no later order yields
+    planned = {ks: level for ks, _, level in plan if level is not None}
+    if planned:
+        dps = digits + max(extra for _, extra, _ in planned.values())
+        atoms = _resolve_atoms(set().union(*(series.atoms() for series, _, _ in planned.values())), dps - 7)
+        values = {name: value._mpf_ for name, value in atoms.items()}
+        with mp.workdps(dps):
+            swept = dict(zip(planned, mzv.nested_sums(point, sum_tops, list(planned), star)))
+    for order, exact, level in plan:
         if exact is not None:
             with mp.workdps(digits + 15):
                 value = to_mpf(exact)
@@ -232,16 +245,10 @@ def _constants_by_extrapolation(
             continue
         stable = False
         if level is not None:
-            series, extra = level
-            values = _resolve_series_atoms(series, digits + extra - 7)
-            with mp.workdps(digits + extra):
+            with mp.workdps(dps):
                 prec, rnd = mp._prec_rounding
-                if extra not in swept:
-                    block = groups[extra]
-                    sweep = mzv.nested_sums(point, sum_tops, block, star)
-                    swept[extra] = {ks: at_tops for ks, (at_tops, _) in zip(block, sweep)}
-                divergent = series.evaluate(tops, values, prec, rnd)
-                sums = swept[extra][order]
+                divergent = level[0].evaluate(tops, values, prec, rnd)
+                sums = swept[order][0]
                 u_n, u_2n = (mp.make_mpf(mpf_sub(u._mpf_, d, prec, rnd)) for u, d in zip(sums, divergent))
                 # the N/2N gap, floored by the rounding of u_2N - D(2N)
                 floor = mpmath.ldexp(max(abs(sums[1]), abs(mp.make_mpf(divergent[1]))), 3 - prec)
@@ -256,41 +263,43 @@ def _constants_by_extrapolation(
 
 
 def _level(
-    point: IntPoint, order: OrderIndex, star: bool, n_top: int, target: float
-) -> tuple[ScaleSeries, int] | None:
-    """The truncated expansion at N = ``n_top`` and the working digits on
-    top of the target's (atoms get 7 fewer); None when no cut reaches target."""
-    series = _truncated_expansion(point, order, star, n_top, target)
-    if series is None:
+    point: IntPoint, order: OrderIndex, star: bool, n_top: int, target: float, first: int | None = None
+) -> tuple[ScaleSeries, int, int] | None:
+    """The truncated expansion at N = ``n_top``, the working digits on top
+    of the target's and the cutting probe; None when no cut reaches target."""
+    cut = _truncated_expansion(point, order, star, n_top, target, first)
+    if cut is None:
         return None
+    series, probe = cut
     # guard digits for the cancellation u_2N - divergent(2N), at the larger
     # top; both the N-growth of negative orders and the log-power growth count
     max_deg = max((l for (_, l), _ in series.terms), default=0)
     extra = max(0.0, -series.order() * math.log10(2 * n_top))
     extra += max_deg * math.log10(math.log(2 * n_top))
-    return series, 15 + int(extra)
+    return series, 15 + int(extra), probe
 
 
 def _truncated_expansion(
-    point: IntPoint, order: OrderIndex, star: bool, n_top: int, target: float
-) -> ScaleSeries | None:
+    point: IntPoint, order: OrderIndex, star: bool, n_top: int, target: float, first: int | None = None
+) -> tuple[ScaleSeries, int] | None:
     """The expansion less its constant cell, cut before its first cell below
-    ``target`` at N = ``n_top``, raising the X-order by 6 until one is; None
-    once the top cells stop shrinking (the series turns near order 2 pi N),
-    or at once when the target lies far below that turn's floor e^(-2 pi N).
-    The ladder starts at the least prefix excess (a - 1 at depth 1), below
-    which no cell of order >= 1 lies; a probe with no top cells probes on."""
+    ``target`` at N = ``n_top``, and the probe that cut it, raising the
+    X-order by 6 until one does; None once the top cells stop shrinking (the
+    series turns near order 2 pi N), or at once when the target lies far
+    below that turn's floor e^(-2 pi N).  The ladder starts at probe
+    ``first`` if given, else at the least prefix excess (a - 1 at depth 1),
+    below which no cell of order >= 1 lies; a probe with no top cells probes on."""
     if target < 1e-6 * math.exp(-2 * math.pi * n_top):
         return None
     smallest = INF
-    for probe in count(8 + 6 * max(0, (min(_excess(point)) - 3) // 6), 6):
+    for probe in count(first or 8 + 6 * max(0, (min(_excess(point)) - 3) // 6), 6):
         table = asymptotic_expansion(point, order, probe, star)
         top = {q for (q, _), _ in table.terms if q > probe - 6}
         if not top and table.precision != INF:
             continue
         cut = _first_small_cutoff(table, n_top, target)
         if cut is not None:
-            return table.truncated(cut).drop_constant_cell()
+            return table.truncated(cut).drop_constant_cell(), probe
         top_smallest = min((abs_cell_magnitude(table, q, n_top) for q in top), default=INF)
         if top_smallest >= smallest:
             return None
@@ -441,7 +450,7 @@ class EvalResult:
 
 @memo(
     key=lambda center, degree, digits=12, star=False: (
-        as_point(center), degree, digits, star, max_n()
+        as_point(center), degree, digits, star, max_n(), mp.prec
     )
 )
 def reg_series(

@@ -404,6 +404,25 @@ class TestExpandCommand:
         code, _, _ = run_cli(capsys, "expand", "--point", "1", "--degree", "9")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "cap, argv, refused",
+        [
+            ("16", ["expand", "--point=2,1,1", "--degree=3", "--digits=30"], "g(2,1,1|0,0,0) did not stabilise to 30 digits by N=16"),
+            ("16", ["expand", "--point=1,1", "--degree=4", "--digits=20"], "g(1,1|0,0) did not stabilise to 20 digits by N=16"),
+            (None, ["expand", "--point=-40,3", "--degree=3", "--digits=20"], "g(-40,3|0,0) did not stabilise to 20 digits by N=128"),
+            (None, ["stieltjes", "--point=0", "--order=500"], "g(0|500) did not stabilise to 12 digits by N=128"),
+        ],
+    )
+    def test_warm_started_ladders_keep_the_refusals(self, capsys, monkeypatch, cap, argv, refused):
+        # a block's probe ladders start where the previous order cut, so
+        # they skip probes the stop rule would have seen: refused constants
+        # stay refused, with the same message
+        if cap is None:
+            monkeypatch.delenv("MZETA_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("MZETA_MAX_N", cap)
+        assert run_cli(capsys, *argv) == (3, "", f"error: {refused}\n")
+
 
 def test_closed_stdout_exits_quietly_with_the_command_code(capsys, monkeypatch):
     # the reader of the pipe left before the value was written

@@ -454,29 +454,69 @@ class TestTaylorBlocks:
             weight = to_mpf(Fraction((-1) ** sum(ks), prod(factorial(k) for k in ks)))
             assert block[ks]._mpf_ == (weight * gamma)._mpf_, ks
 
-    def test_first_level_sweeps_once_per_group(self, monkeypatch):
-        center, degree, digits, star = (2, 1), 6, 12, True
-        n_top = stieltjes.schedule_n(digits)
-        target = 0.25 * 10.0 ** (-(digits + 2))
-        groups = {}
-        for ks in iter_orders(len(center), degree):
-            level = stieltjes._level(center, ks, star, n_top, target)
-            if stieltjes._exact_constant(center, ks, star) is None and level is not None:
-                groups.setdefault(digits + level[1], []).append(ks)  # the working dps
-        assert len(groups) > 1 and max(map(len, groups.values())) > 1
+    @staticmethod
+    def _spy_sweeps(monkeypatch):
         sweeps = []
         sweep = mzv.nested_sums
 
         def spy(s, tops, *args, **kwargs):
-            sweeps.append((tuple(s), list(tops), [tuple(ks) for ks in args[0]], mp.dps))
+            sweeps.append((tuple(s), [tuple(ks) for ks in args[0]], mp.dps))
             return sweep(s, tops, *args, **kwargs)
 
-        _clear_constant_memos()
         monkeypatch.setattr(mzv, "nested_sums", spy)
+        return sweeps
+
+    def test_block_sweeps_its_center_once_at_the_block_dps(self, monkeypatch):
+        # the block works at the digits plus the largest guard of its orders
+        center, degree, digits, star = (2, 1), 6, 12, True
+        n_top = stieltjes.schedule_n(digits)
+        target = 0.25 * 10.0 ** (-(digits + 2))
+        extras = {ks: stieltjes._level(center, ks, star, n_top, target)[1] for ks in iter_orders(len(center), degree)}
+        assert len(set(extras.values())) > 1
+        _clear_constant_memos()
+        sweeps = self._spy_sweeps(monkeypatch)
         reg_series(center, degree, digits, star)
-        first_tops = [n_top + 1, 2 * n_top + 1]  # a star sum includes its top index
-        first = [(orders, dps) for s, tops, orders, dps in sweeps if s == center and tops == first_tops]
-        assert sorted(first) == sorted((orders, dps) for dps, orders in groups.items())
+        assert [(orders, dps) for s, orders, dps in sweeps if s == center] == [(list(extras), digits + max(extras.values()))]
+
+    def test_block_sweeps_each_atom_point_once(self, monkeypatch):
+        # g(2,1,1|..) reads atoms at (1,1) and (1,); the (1,1) block resolves
+        # its (1,) atoms at more digits, and the outer block reuses them
+        _clear_constant_memos()
+        sweeps = self._spy_sweeps(monkeypatch)
+        reg_series((2, 1, 1), 3, 12)
+        assert sorted(s for s, _, _ in sweeps) == [(1,), (1, 1), (2, 1, 1)]
+
+    def test_probe_ladder_starts_at_the_previous_orders_cut(self, monkeypatch):
+        center, degree, digits, star = (2, 1), 6, 12, True
+        probes: dict = {}
+        expand = stieltjes.asymptotic_expansion
+
+        def spy(pt, order, precision, star=False):
+            if pt == center:
+                probes.setdefault(order, []).append(precision)
+            return expand(pt, order, precision, star)
+
+        _clear_constant_memos()
+        monkeypatch.setattr(stieltjes, "asymptotic_expansion", spy)
+        reg_series(center, degree, digits, star)
+        ladders = [probes[ks] for ks in iter_orders(len(center), degree)]
+        assert ladders[0][0] == 8  # a lone constant's first probe
+        assert all(ladder[0] == previous[-1] for previous, ladder in pairwise(ladders))
+        # fewer probes than the orders' cold ladders
+        probes.clear()
+        n_top, target = stieltjes.schedule_n(digits), 0.25 * 10.0 ** (-(digits + 2))
+        for ks in iter_orders(len(center), degree):
+            stieltjes._truncated_expansion(center, ks, star, n_top, target)
+        assert sum(map(len, ladders)) < sum(map(len, probes.values()))
+
+    def test_memo_keys_on_the_ambient_precision(self):
+        # the coefficients round at the caller's precision, so a 15-digit
+        # caller's block is not served to a 45-digit one
+        _clear_constant_memos()
+        with mp.workdps(15):
+            reg_series((2, 1), 2, 35)
+        with mp.workdps(45):
+            assert abs(reg_series((2, 1), 2, 35).coefficients[(0, 0)] - mp.zeta(3)) < 1e-35
 
 
 class TestCaches:
