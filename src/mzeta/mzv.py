@@ -403,7 +403,7 @@ def _exact_key(x):
 
 @memo(
     key=lambda s, digits=12, variant="strict": (
-        tuple(map(_exact_key, s)), digits, variant, max_n()
+        tuple(map(_exact_key, s)), digits, "strict" if variant == "star" and len(s) == 1 else variant, max_n()
     )
 )
 def zeta_value_with_error(

@@ -153,6 +153,7 @@ def truncated_log_sum(
 # -- numeric resolution ------------------------------------------------------
 
 _atom_cache: dict[str, tuple[int, int, mpmath.mpf]] = {}  # name -> (cap, digits, value)
+_expansions = asymptotic_expansion.cache  # the memo, bound here: spies rebind the name
 
 
 def resolve_atom(name: str, digits: int) -> mpmath.mpf:
@@ -288,12 +289,18 @@ def _truncated_expansion(
     series turns near order 2 pi N), or at once when the target lies far
     below that turn's floor e^(-2 pi N).  The ladder starts at probe
     ``first`` if given, else at the least prefix excess (a - 1 at depth 1),
-    below which no cell of order >= 1 lies; a probe with no top cells probes on."""
+    below which no cell of order >= 1 lies; a probe with no top cells probes on.
+    A table the ladder builds is read once and dropped from the memo; the
+    lower-depth levels it stored, read again by later orders, stay."""
     if target < 1e-6 * math.exp(-2 * math.pi * n_top):
         return None
     smallest = INF
     for probe in count(first or 8 + 6 * max(0, (min(_excess(point)) - 3) // 6), 6):
+        key = (point, order, probe, star)
+        fresh = key not in _expansions
         table = asymptotic_expansion(point, order, probe, star)
+        if fresh:
+            _expansions.pop(key, None)
         top = {q for (q, _), _ in table.terms if q > probe - 6}
         if not top and table.precision != INF:
             continue

@@ -179,6 +179,24 @@ class TestValues:
             assert got == fresh
             assert abs(got - at_three) > 1e-19
 
+    def test_depth_one_star_shares_the_strict_entry(self, monkeypatch):
+        # the depth-1 star value is the strict one: one memo entry, one run
+        runs = []
+        value = mzv._continued_value
+
+        def spy(*args):
+            runs.append(args)
+            return value(*args)
+
+        monkeypatch.setattr(mzv, "_continued_value", spy)
+        zeta_value_with_error.cache.clear()
+        star = zeta_value_with_error((Fraction(5, 2),), 12, "star")
+        assert zeta_value_with_error((Fraction(5, 2),), 12, "strict") is star
+        assert len(runs) == 1
+        zeta_value_with_error((2,), 12)
+        with pytest.raises(ValueError, match="unknown variant"):
+            zeta_value_with_error((2,), 12, "bogus")
+
     @pytest.mark.parametrize("s, digits, variant", CANCELLING)
     def test_cancelling_addends_keep_the_digits(self, s, digits, variant):
         # truncation and tails far larger than the value: ten more digits

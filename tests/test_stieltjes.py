@@ -526,6 +526,34 @@ class TestCaches:
         assert from_tuples is from_lists
         assert asymptotic_expansion.cache[((2, 1), (1, 0), 3, False)] is from_lists
 
+    def test_probe_ladder_keeps_only_the_inner_levels(self):
+        # each top-level table is read once, to place its cut; the (2,)
+        # levels are read again by every order of the block
+        _clear_constant_memos()
+        reg_series((1, 2), 8, 10)
+        points = {key[0] for key in asymptotic_expansion.cache}
+        assert (1, 2) not in points and (2,) in points
+
+    def test_probe_ladder_keeps_a_table_it_did_not_add(self, monkeypatch):
+        # g(2,1|1,1) probes X-orders 8 and 14; the ladder reaches the memo
+        # without the module name, which the tracer rebinds to a plain wrapper
+        point, order = (2, 1), (1, 1)
+        probes = []
+        expand = stieltjes.asymptotic_expansion
+
+        def spy(pt, ks, precision, star=False):
+            if pt == point:
+                probes.append(precision)
+            return expand(pt, ks, precision, star)
+
+        _clear_constant_memos()
+        placed = asymptotic_expansion(point, order, 8)
+        monkeypatch.setattr(stieltjes, "asymptotic_expansion", spy)
+        stieltjes_constant(point, order, 12)
+        assert probes == [8, 14]
+        assert asymptotic_expansion.cache[(point, order, 8, False)] is placed
+        assert (point, order, 14, False) not in asymptotic_expansion.cache
+
     def test_atoms_resolve_in_the_same_order_in_every_process(self):
         # gs(3,1|1,0) resolves gs(1|0) at 32 digits on the way; resolved
         # first, the deeper atom lets the 23-digit request for gs(1|0) reuse
